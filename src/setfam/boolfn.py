@@ -91,10 +91,13 @@ def popcount_array(a: np.ndarray) -> np.ndarray:
             .sum(axis=1)
             .astype(np.uint8)
         )
-    a = np.asarray(a, dtype=np.uint64)
-    out = np.zeros(a.shape, dtype=np.int64)
-    for shift in (0, 16, 32, 48):
-        out += _POP16[((a >> np.uint64(shift)) & np.uint64(0xFFFF)).astype(np.uint16)]
+    a = np.asarray(a)
+    if a.dtype.kind != "u" or a.dtype.itemsize == 1:
+        a = a.astype(np.uint64)
+    word = a.dtype.type(0xFFFF)
+    out = _POP16[a if a.dtype.itemsize == 2 else a & word].astype(np.int64)
+    for shift in range(16, 8 * a.dtype.itemsize, 16):
+        out += _POP16[(a >> a.dtype.type(shift)) & word]
     return out
 
 
@@ -267,6 +270,12 @@ class TruthTable:
     def __call__(self, x: int) -> int:
         return (self.bits >> x) & 1
 
+    def batch(self, xs: np.ndarray) -> np.ndarray:
+        """Values at an array of points, as uint8; caches nothing on the table."""
+        xs = np.asarray(xs, dtype=np.uint64)
+        packed = self._packed()
+        return (packed[xs >> np.uint64(3)] >> (xs & np.uint64(7)).astype(np.uint8)) & 1
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TruthTable)
@@ -279,13 +288,16 @@ class TruthTable:
 
     def ones(self) -> list[int]:
         """Indices of 1-inputs, ascending."""
-        out = []
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return out
+        if self.arity <= 6:  # one machine word: peeling bits beats numpy's call overhead
+            out = []
+            bits = self.bits
+            while bits:
+                low = bits & -bits
+                out.append(low.bit_length() - 1)
+                bits ^= low
+            return out
+        values = np.unpackbits(self._packed(), bitorder="little")
+        return np.flatnonzero(values).tolist()
 
     def count_ones(self) -> int:
         return self.bits.bit_count()
@@ -293,12 +305,14 @@ class TruthTable:
     def as_array(self) -> np.ndarray:
         """0/1 uint8 view of length 2^arity (cached)."""
         if self._array is None:
-            size = 1 << self.arity
-            raw = self.bits.to_bytes((size + 7) // 8, "little")
-            self._array = np.unpackbits(
-                np.frombuffer(raw, dtype=np.uint8), bitorder="little"
-            )[:size]
+            values = np.unpackbits(self._packed(), bitorder="little")
+            self._array = values[: 1 << self.arity]
         return self._array
+
+    def _packed(self) -> np.ndarray:
+        """The BFTT1 payload as uint8: point p is bit p % 8 of byte p // 8."""
+        raw = self.bits.to_bytes(((1 << self.arity) + 7) // 8, "little")
+        return np.frombuffer(raw, dtype=np.uint8)
 
     # -- file formats --------------------------------------------------------
     #

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boolfn import Band, ResourceCapError, TruthTable
+from .boolfn import Band, ResourceCapError, TruthTable, popcount_array
 from .violations import UcViolatingTuple
 
 __all__ = [
@@ -261,16 +261,6 @@ def dist_int_exact(f: TruthTable, max_ones: int = 30) -> DistanceResult:
 
 
 @lru_cache(maxsize=None)
-def _popcount16() -> np.ndarray:
-    v = np.arange(1 << 16, dtype=np.uint16)
-    return (
-        np.unpackbits(v.view(np.uint8).reshape(-1, 2), axis=1, bitorder="little")
-        .sum(axis=1)
-        .astype(np.uint8)
-    )
-
-
-@lru_cache(maxsize=None)
 def _all_union_closed_masks(n: int) -> np.ndarray:
     """All union-closed tables at arity n, ascending, as function bitmasks."""
     size = 1 << n
@@ -304,8 +294,7 @@ def dist_uc_exact(f: TruthTable) -> DistanceResult:
     if f.arity > 4:
         raise ResourceCapError("dist_uc_exact is exhaustive and capped at n <= 4")
     candidates = _all_union_closed_masks(f.arity)
-    pop = _popcount16()
-    dists = pop[np.bitwise_xor(candidates, np.uint32(f.bits)).astype(np.uint16)]
+    dists = popcount_array(np.bitwise_xor(candidates, np.uint32(f.bits)).astype(np.uint16))
     best = int(np.argmin(dists))
     cert = TruthTable(f.arity, int(candidates[best]))
     return DistanceResult(int(dists[best]), 1 << f.arity, "exhaustive", cert)

@@ -751,23 +751,29 @@ def estimate_bad_probability(
     q = len(pts)
     hits = 0
     left = params.trials
-    chunk = max(1, (1 << 22) // max(1, num_terms * term_size))
+    per_trial = max(1, num_terms * term_size)
+    chunk = max(1, (1 << 22) // per_trial)
+    block = max(1, (1 << 16) // per_trial)
     while left:
         batch = min(chunk, left)
         perm = np.argsort(rng.random((batch, n)), axis=1)
         a_cols = perm[:, :a]
         c_cols = perm[:, a:]
-        idx = rng.integers(0, m, size=(batch, num_terms, term_size))
-        coords = c_cols[np.arange(batch)[:, None, None], idx].astype(np.uint64)
         uniq = np.zeros((q, batch), dtype=bool)
         term_of = np.zeros((q, batch), dtype=np.int64)
         wa = np.zeros((q, batch), dtype=np.int64)
+        # The term draws fill their (batch, terms, size) array in row order,
+        # so drawing it a block of rows at a time reads the same values while
+        # keeping the per-term arrays small.
+        for lo in range(0, batch, block):
+            hi = min(batch, lo + block)
+            idx = rng.integers(0, m, size=(hi - lo, num_terms, term_size))
+            coords = c_cols[np.arange(lo, hi)[:, None, None], idx].astype(np.uint64)
+            for k, pt in enumerate(pts):
+                sat = ((np.uint64(pt) >> coords) & np.uint64(1)).all(axis=2)
+                uniq[k, lo:hi] = sat.sum(axis=1) == 1
+                term_of[k, lo:hi] = np.argmax(sat, axis=1)
         for k, pt in enumerate(pts):
-            bits = (np.uint64(pt) >> coords) & np.uint64(1)
-            sat = bits.all(axis=2)
-            s = sat.sum(axis=1)
-            uniq[k] = s == 1
-            term_of[k] = np.argmax(sat, axis=1)
             wa[k] = ((np.uint64(pt) >> a_cols.astype(np.uint64)) & np.uint64(1)).sum(
                 axis=1
             )

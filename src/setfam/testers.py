@@ -4,22 +4,54 @@ All four are one-sided and non-adaptive: a reject always carries a
 certificate that re-verifies against the oracle, and the query set of an
 iteration never depends on answers.
 
-Randomness contract: a run derives one Philox stream from its seed and
-consumes it in a fixed documented order: first one integer batch for the
-iteration weight classes, then one float matrix whose row i is iteration i's
-subset randomness (the 3-point and 2-point testers additionally consume, in
-round order, two scalar weight draws and rows of two further float matrices).
+Randomness contract.  A run derives one Philox stream from its seed and
+reads it in this order, R being the number of iterations (rounds):
+
+1. the weight batch: one ``integers(0, total, size=R)`` call, the band
+   weight class of each iteration's point;
+2. R rows of n doubles; iteration i's point is the coordinates holding the
+   w smallest values of row i (stable order), w its weight class;
+3. 3-query tester: R rows of n doubles for y1, then R rows for y2;
+   2-query tester: R rows of n doubles for y.  Row i orders the set bits of
+   x (3-query) or of its complement (2-query), lowest bit first, and the
+   subset is the bits holding the j smallest values;
+4. 3-/2-query testers: per round, in round order, the downset weight class
+   j of y1 and then of y2 (of y), each one ``integers(0, total_w)`` draw
+   over the C(w, j) sizes of the band's classes below a weight-w point.
+
+Every double takes one 64-bit draw.  So with W the stream position after
+the weight batch, segment 2 starts at W + 0, the y1 (y) rows at W + R*n, the
+y2 rows at W + 2R*n, and the scalar draws at W + 3R*n for the 3-query tester
+and at W + 2R*n for the 2-query tester.  The scalar draws also keep the
+32-bit half-word that the weight batch may have left buffered at W.
+
+Chunks.  The testers work through their iterations in chunks of 64, 128,
+... rounds, doubling up to 8192.  A run of more than one chunk draws the
+weight batch once to find W, then again chunk by chunk from a Philox cursor
+at its start; the 3-/2-query testers also open a cursor at each later
+segment's offset.  Reading every segment chunk by chunk gives the same draws
+as reading it whole, so memory is O(8192 * n) for any R, and a run that
+rejects early draws at most one chunk beyond its last iteration.
+
+Queries.  A run reports the queries of the iterations it ran up to and
+including the first rejecting one: 1 + |banded downset| per iteration for
+the witness testers, and 3 (2) per round for the 3-query (2-query) tester.
+The round testers evaluate a whole chunk at once, through the oracle's
+``batch`` method when it has one and point by point otherwise, so an oracle
+may see the rest of the rejecting chunk as well; those answers are not
+counted and cannot change the report.
+
 Identical (f, config) therefore reproduces identical reports byte for byte,
-and iterations stay independent given the batch, so parallel execution with
-first-reject-wins merging agrees with the serial run.
+and iterations stay independent given the weight batch.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -126,49 +158,156 @@ def _tau_rounds(cfg: TesterConfig, n: int) -> int:
     return rounds
 
 
-def _batch_band_points(
-    n: int, band: Band, count: int, rng: np.random.Generator
-) -> list[int]:
-    """count uniform banded points; consumes one integer batch + one float matrix."""
-    ws = sample_band_weights(n, band, rng, count)
-    rows = rng.random((count, n))
-    pts = []
-    for i in range(count):
-        j = int(ws[i])
-        x = 0
-        if j:
-            for k in np.argsort(rows[i], kind="stable")[:j]:
-                x |= 1 << int(k)
-        pts.append(x)
-    return pts
+#: Rounds per chunk: the first chunk, and the size the doubling stops at.
+CHUNK_MIN = 64
+CHUNK_MAX = 8192
+
+_BIT_INDEX = np.arange(64, dtype=np.uint64)
+_BIT = np.uint64(1) << _BIT_INDEX
 
 
-def _downset_weight_table(w: int, band: Band) -> tuple[list[int], int]:
-    counts = [math.comb(w, j) for j in range(band.lo, min(w, band.hi) + 1)]
-    cum = []
-    total = 0
-    for c in counts:
-        total += c
-        cum.append(total)
-    return cum, total
+def _chunks(count: int) -> Iterator[tuple[int, int]]:
+    """[start, stop) of consecutive chunks of 64, 128, ... 8192, 8192, ... rounds."""
+    start, size = 0, CHUNK_MIN
+    while start < count:
+        stop = min(count, start + size)
+        yield start, stop
+        start, size = stop, min(2 * size, CHUNK_MAX)
 
 
-def _subset_from_row(positions: list[int], j: int, row: np.ndarray) -> int:
-    """Uniform j-subset of positions, randomness taken from a float row."""
-    y = 0
-    if j:
-        for k in np.argsort(row[: len(positions)], kind="stable")[:j]:
-            y |= 1 << positions[int(k)]
-    return y
+def _lowest(keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per row i, the point whose bits are the columns of its counts[i] smallest keys.
+
+    Equal keys go to the lower column, as in a stable per-row argsort.
+    """
+    order = np.argsort(keys, axis=1, kind="stable")
+    taken = np.arange(keys.shape[1]) < counts[:, None]
+    return (_BIT[order] * taken).sum(axis=1, dtype=np.uint64)
 
 
-def _bit_positions(x: int) -> list[int]:
-    out = []
-    while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
-    return out
+def _batch_band_points(n: int, weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Band points (uint64) with the given weight classes; one float row each from rng."""
+    return _lowest(rng.random((len(weights), n)), weights)
+
+
+def _subsets(xs: np.ndarray, sizes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per round i, the sizes[i]-subset of xs[i]'s bits that rows[i] selects.
+
+    The k-th set bit of xs[i], lowest first, takes the value rows[i, k]; the
+    subset is the bits with the sizes[i] smallest values.
+    """
+    n = rows.shape[1]
+    bits = ((xs[:, None] >> _BIT_INDEX[:n]) & np.uint64(1)).astype(bool)
+    rank = np.maximum(np.cumsum(bits, axis=1) - 1, 0)
+    keys = np.where(bits, rows[np.arange(len(rows))[:, None], rank], np.inf)
+    return _lowest(keys, sizes)
+
+
+@lru_cache(maxsize=256)
+def _downset_classes(n: int, band: Band) -> tuple[np.ndarray, np.ndarray]:
+    """Class sizes of the banded downset of a weight-w point, for w = 0..n.
+
+    Returns (totals[w], cum[w, t]): the downset's size and the cumulative
+    size of its classes band.lo..band.lo + t, padded with the uint64 maximum.
+    """
+    totals = np.zeros(n + 1, dtype=np.uint64)
+    cum = np.full((n + 1, band.hi - band.lo + 1), np.iinfo(np.uint64).max, dtype=np.uint64)
+    for w in range(n + 1):
+        total = 0
+        for t, j in enumerate(range(band.lo, min(w, band.hi) + 1)):
+            total += math.comb(w, j)
+            cum[w, t] = total
+        totals[w] = total
+    totals.flags.writeable = cum.flags.writeable = False  # shared by every run
+    return totals, cum
+
+
+def _downset_weights(
+    rng: np.random.Generator, n: int, band: Band, ws: np.ndarray
+) -> np.ndarray:
+    """Weight class j of a uniform banded-downset point below each weight ws[i].
+
+    One ``integers(0, total_w)`` draw u per point, then j = band.lo plus the
+    number of cumulative class sizes <= u.
+    """
+    totals, cum = _downset_classes(n, band)
+    us = rng.integers(0, totals[ws], dtype=np.uint64)
+    return band.lo + (cum[ws] <= us[:, None]).sum(axis=1)
+
+
+def _cursor(rng: np.random.Generator, words: int) -> np.random.Generator:
+    """A generator reading rng's stream from ``words`` 64-bit draws past its position.
+
+    It keeps the 32-bit half-word rng may hold buffered.
+    """
+    state = rng.bit_generator.state
+    counter = int.from_bytes(state["state"]["counter"].astype("<u8").tobytes(), "little")
+    # draw 4c + k is word k of the block made from counter c, which the bit
+    # generator makes after bumping its counter from c - 1
+    block, skip = divmod(4 * counter + state["buffer_pos"] + words, 4)
+    before = ((block - 1) % 2**256).to_bytes(32, "little")
+    bg = np.random.Philox(rng.bit_generator.seed_seq)
+    bg.state = {**state, "buffer_pos": 4, "state": {
+        "counter": np.frombuffer(before, dtype="<u8"), "key": state["state"]["key"]}}
+    bg.random_raw(skip)
+    return np.random.Generator(bg)
+
+
+def _weight_chunks(
+    n: int, band: Band, rounds: int, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """The weight batch chunk by chunk; moves rng past the whole batch.
+
+    The batch takes a varying number of draws (integers() rejects some), so
+    its end is found by drawing it once, and a cursor at its start draws it
+    again chunk by chunk.  Chunked draws give the values of one batch call,
+    because bounded draws under 2^32 take their 32-bit halves from the bit
+    generator's own buffer.
+    """
+    if rounds <= CHUNK_MIN:
+        return iter([sample_band_weights(n, band, rng, rounds)])
+    reader = _cursor(rng, 0)
+    for start, stop in _chunks(rounds):
+        sample_band_weights(n, band, rng, stop - start)
+    return (sample_band_weights(n, band, reader, stop - start)
+            for start, stop in _chunks(rounds))
+
+
+def _segments(
+    rng: np.random.Generator, rounds: int, n: int, count: int
+) -> list[np.random.Generator]:
+    """Readers of the stream from k * rounds * n draws past rng, k = 1..count.
+
+    A run of one chunk reads every segment whole and in stream order, so
+    its readers are rng itself.
+    """
+    if rounds <= CHUNK_MIN:
+        return [rng] * count
+    return [_cursor(rng, k * rounds * n) for k in range(1, count + 1)]
+
+
+def _answers(f, points: np.ndarray) -> np.ndarray:
+    """f at each point, as uint8: one ``f.batch`` call, or one call per point."""
+    batch = getattr(f, "batch", None)
+    if batch is not None:
+        return batch(points)
+    return np.fromiter(map(f, points.tolist()), dtype=np.uint8, count=len(points))
+
+
+def _witness_tester(f, cfg: TesterConfig, witness_check) -> TesterReport:
+    n = f.arity
+    band = mid_band(n, cfg.eps)
+    m = _iterations(cfg)
+    counter = QueryCounter(f)
+    rng = stream(cfg.seed)
+    weights = _weight_chunks(n, band, m, rng)
+    for (start, _), ws in zip(_chunks(m), weights):
+        xs = _batch_band_points(n, ws, rng)
+        for i, x in enumerate(xs.tolist(), start + 1):
+            witness = witness_check(counter, x, band, cfg.enumeration_cap)
+            if witness is not None:
+                return TesterReport("reject", witness, counter.count, i, cfg.seed)
+    return TesterReport("accept", None, counter.count, m, cfg.seed)
 
 
 def uc_tester(f, cfg: TesterConfig) -> TesterReport:
@@ -178,16 +317,7 @@ def uc_tester(f, cfg: TesterConfig) -> TesterReport:
     eps-far from union-closed with probability >= 9/10 over ceil(100/eps)
     iterations.  Queries per iteration: 1 + |banded downset of x|.
     """
-    band = mid_band(f.arity, cfg.eps)
-    m = _iterations(cfg)
-    counter = QueryCounter(f)
-    rng = stream(cfg.seed)
-    xs = _batch_band_points(f.arity, band, m, rng)
-    for i, x in enumerate(xs):
-        witness = witness_check_uc(counter, x, band, cfg.enumeration_cap)
-        if witness is not None:
-            return TesterReport("reject", witness, counter.count, i + 1, cfg.seed)
-    return TesterReport("accept", None, counter.count, m, cfg.seed)
+    return _witness_tester(f, cfg, witness_check_uc)
 
 
 def int_tester(f, cfg: TesterConfig) -> TesterReport:
@@ -197,16 +327,7 @@ def int_tester(f, cfg: TesterConfig) -> TesterReport:
     functions with probability >= 9/10.  Queries per iteration:
     1 + |banded downset of the complement of x|.
     """
-    band = mid_band(f.arity, cfg.eps)
-    m = _iterations(cfg)
-    counter = QueryCounter(f)
-    rng = stream(cfg.seed)
-    xs = _batch_band_points(f.arity, band, m, rng)
-    for i, x in enumerate(xs):
-        witness = witness_check_int(counter, x, band, cfg.enumeration_cap)
-        if witness is not None:
-            return TesterReport("reject", witness, counter.count, i + 1, cfg.seed)
-    return TesterReport("accept", None, counter.count, m, cfg.seed)
+    return _witness_tester(f, cfg, witness_check_int)
 
 
 def uc_triple_tester(f, cfg: TesterConfig) -> TesterReport:
@@ -219,29 +340,24 @@ def uc_triple_tester(f, cfg: TesterConfig) -> TesterReport:
     n = f.arity
     band = mid_band(n, cfg.eps, widened=True)
     rounds = _tau_rounds(cfg, n)
-    counter = QueryCounter(f)
     rng = stream(cfg.seed)
-    xs = _batch_band_points(n, band, rounds, rng)
-    rows1 = rng.random((rounds, n))
-    rows2 = rng.random((rounds, n))
-    tables: dict[int, tuple[list[int], int]] = {}
-    for i, x in enumerate(xs):
-        positions = _bit_positions(x)
-        w = len(positions)
-        if w not in tables:
-            tables[w] = _downset_weight_table(w, band)
-        cum, total = tables[w]
-        j1 = band.lo + bisect_right(cum, int(rng.integers(0, total, dtype=np.uint64)))
-        j2 = band.lo + bisect_right(cum, int(rng.integers(0, total, dtype=np.uint64)))
-        y1 = _subset_from_row(positions, j1, rows1[i])
-        y2 = _subset_from_row(positions, j2, rows2[i])
-        fx = counter(x)
-        f1 = counter(y1)
-        f2 = counter(y2)
-        if f1 == 1 and f2 == 1 and y1 | y2 == x and fx == 0:
-            cert = TripleCertificate(y1, y2, x)
-            return TesterReport("reject", cert, counter.count, i + 1, cfg.seed)
-    return TesterReport("accept", None, counter.count, rounds, cfg.seed)
+    weights = _weight_chunks(n, band, rounds, rng)
+    rows1, rows2, draws = _segments(rng, rounds, n, 3)
+    for (start, stop), ws in zip(_chunks(rounds), weights):
+        size = stop - start
+        xs = _batch_band_points(n, ws, rng)
+        r1 = rows1.random((size, n))
+        r2 = rows2.random((size, n))
+        js = _downset_weights(draws, n, band, np.repeat(ws, 2)).reshape(size, 2)
+        y1 = _subsets(xs, js[:, 0], r1)
+        y2 = _subsets(xs, js[:, 1], r2)
+        fx, f1, f2 = _answers(f, np.concatenate((xs, y1, y2))).reshape(3, size)
+        bad = np.flatnonzero((f1 == 1) & (f2 == 1) & ((y1 | y2) == xs) & (fx == 0))
+        if bad.size:
+            i = int(bad[0])
+            cert = TripleCertificate(int(y1[i]), int(y2[i]), int(xs[i]))
+            return TesterReport("reject", cert, 3 * (start + i + 1), start + i + 1, cfg.seed)
+    return TesterReport("accept", None, 3 * rounds, rounds, cfg.seed)
 
 
 def int_pair_tester(f, cfg: TesterConfig) -> TesterReport:
@@ -252,25 +368,22 @@ def int_pair_tester(f, cfg: TesterConfig) -> TesterReport:
     same round calibration as the 3-query tester.
     """
     n = f.arity
-    full = (1 << n) - 1
+    full = np.uint64((1 << n) - 1)
     band = mid_band(n, cfg.eps)
     rounds = _tau_rounds(cfg, n)
-    counter = QueryCounter(f)
     rng = stream(cfg.seed)
-    xs = _batch_band_points(n, band, rounds, rng)
-    rows = rng.random((rounds, n))
-    tables: dict[int, tuple[list[int], int]] = {}
-    for i, x in enumerate(xs):
-        positions = _bit_positions(x ^ full)
-        w = len(positions)
-        if w not in tables:
-            tables[w] = _downset_weight_table(w, band)
-        cum, total = tables[w]
-        j = band.lo + bisect_right(cum, int(rng.integers(0, total, dtype=np.uint64)))
-        y = _subset_from_row(positions, j, rows[i])
-        fx = counter(x)
-        fy = counter(y)
-        if fx == 1 and fy == 1:
-            cert = IViolatingPair(y, x)
-            return TesterReport("reject", cert, counter.count, i + 1, cfg.seed)
-    return TesterReport("accept", None, counter.count, rounds, cfg.seed)
+    weights = _weight_chunks(n, band, rounds, rng)
+    rows, draws = _segments(rng, rounds, n, 2)
+    for (start, stop), ws in zip(_chunks(rounds), weights):
+        size = stop - start
+        xs = _batch_band_points(n, ws, rng)
+        r = rows.random((size, n))
+        js = _downset_weights(draws, n, band, n - ws)
+        ys = _subsets(xs ^ full, js, r)
+        fx, fy = _answers(f, np.concatenate((xs, ys))).reshape(2, size)
+        bad = np.flatnonzero((fx == 1) & (fy == 1))
+        if bad.size:
+            i = int(bad[0])
+            cert = IViolatingPair(int(ys[i]), int(xs[i]))
+            return TesterReport("reject", cert, 2 * (start + i + 1), start + i + 1, cfg.seed)
+    return TesterReport("accept", None, 2 * rounds, rounds, cfg.seed)

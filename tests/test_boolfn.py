@@ -237,7 +237,28 @@ class TestTruthTableFormats:
         for x in range(1 << n):
             assert arr[x] == tt(x)
 
+    @given(st.integers(1, 12), st.data())
+    @settings(max_examples=80)
+    def test_batch_matches_calls(self, n, data):
+        tbl = data.draw(st.integers(0, 2 ** (2**n) - 1))
+        xs = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=40))
+        tt = TruthTable(n, tbl)
+        got = tt.batch(np.array(xs, dtype=np.uint64))
+        assert got.dtype == np.uint8
+        assert got.tolist() == [tt(x) for x in xs]
+        assert tt._array is None  # batch leaves nothing cached on the table
+
+    @given(st.integers(1, 12), st.data())
+    @settings(max_examples=60)
+    def test_ones_lists_the_set_bits(self, n, data):
+        tbl = data.draw(st.integers(0, 2 ** (2**n) - 1))
+        tt = TruthTable(n, tbl)
+        assert tt.ones() == [x for x in range(1 << n) if (tbl >> x) & 1]
+        assert tt._array is None
+
 
 def test_popcount_array():
     xs = np.array([0, 1, 3, 2**33 - 1, 2**52 + 7], dtype=np.uint64)
     assert list(popcount_array(xs)) == [0, 1, 2, 33, 4]
+    for dtype in (np.uint8, np.uint16, np.uint32, np.int64):
+        assert list(popcount_array(np.array([0, 1, 3, 127], dtype=dtype))) == [0, 1, 2, 7]

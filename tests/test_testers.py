@@ -229,6 +229,52 @@ class TestDeterminismAndConfig:
             uc_tester(f, TesterConfig(eps=0.5, seed=0, enumeration_cap=4))
 
 
+class TestChunkedRounds:
+    def test_memory_stays_bounded_for_a_million_rounds(self):
+        # whole-run (rounds x n) float matrices would take 3 * 10^6 * 10 * 8 B
+        # = 240 MB here; chunks keep the peak to the weight batch plus one chunk
+        import tracemalloc
+
+        f = TruthTable(10, 0)
+        tracemalloc.start()
+        try:
+            rep = uc_triple_tester(f, TesterConfig(eps=0.5, seed=1, max_iterations=10**6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.verdict == "accept" and rep.queries == 3 * 10**6
+        assert peak < 32 * 2**20, peak
+
+    def test_chunk_sizes_do_not_change_reports(self, monkeypatch):
+        import setfam.testers as T
+
+        rng = stream(78)
+        tables = [TruthTable.from_array(6, rng.random(64) < p) for p in (0.1, 0.3, 0.5)]
+        tables.append(TruthTable.from_ones(6, [x for x in range(64) if x & 1]))
+        runs = [(alg, f, TesterConfig(eps=0.5, seed=s, max_iterations=150))
+                for alg in (uc_tester, int_tester, uc_triple_tester, int_pair_tester)
+                for f in tables for s in range(3)]
+        before = [alg(f, cfg).to_json() for alg, f, cfg in runs]
+        monkeypatch.setattr(T, "CHUNK_MIN", 3)
+        monkeypatch.setattr(T, "CHUNK_MAX", 7)
+        assert [alg(f, cfg).to_json() for alg, f, cfg in runs] == before
+
+    @pytest.mark.parametrize("n", [2, 4, 7])
+    def test_point_oracle_gives_the_batch_oracle_report(self, n):
+        # BooleanFunction has no batch method, so the testers evaluate it
+        # point by point; the reports must not depend on that
+        from setfam.boolfn import BooleanFunction
+
+        rng = stream(77, n)
+        for k in range(6):
+            density = 0.5 if k % 2 else 0.1  # sparse tables reject late or never
+            table = TruthTable.from_array(n, rng.random(1 << n) < density)
+            point = BooleanFunction(n, table)
+            for alg in (uc_tester, int_tester, uc_triple_tester, int_pair_tester):
+                cfg = TesterConfig(eps=0.5, seed=k, max_iterations=300)
+                assert alg(point, cfg).to_json() == alg(table, cfg).to_json()
+
+
 class TestCertificateReverification:
     def test_uc_certificates_reverify_on_fresh_oracle(self):
         rng = stream(21)
