@@ -17,8 +17,8 @@ from __future__ import annotations
 import json
 import math
 import threading
-from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -444,60 +444,106 @@ def band_weight_counts(n: int, band: Band) -> list[int]:
     return [math.comb(n, j) for j in band.weights()]
 
 
-def _cumulative(counts: list[int]) -> tuple[list[int], int]:
-    cum = []
-    total = 0
-    for c in counts:
-        total += c
-        cum.append(total)
-    return cum, total
+_BIT_INDEX = np.arange(64, dtype=np.uint64)
+_BIT = np.uint64(1) << _BIT_INDEX
+
+
+@lru_cache(maxsize=256)
+def _downset_classes(n: int, band: Band) -> tuple[np.ndarray, np.ndarray]:
+    """Class sizes of the banded downset of a weight-w point, for w = 0..n.
+
+    Returns (totals[w], cum[w, t]): the downset's size and the cumulative
+    size of its classes band.lo..band.lo + t, padded with the uint64 maximum.
+    Row n is the banded cube itself.
+    """
+    totals = np.zeros(n + 1, dtype=np.uint64)
+    width = max(0, min(band.hi, n) - band.lo + 1)
+    cum = np.full((n + 1, width), np.iinfo(np.uint64).max, dtype=np.uint64)
+    for w in range(n + 1):
+        total = 0
+        for t, j in enumerate(range(band.lo, min(w, band.hi) + 1)):
+            total += math.comb(w, j)
+            cum[w, t] = total
+        totals[w] = total
+    totals.flags.writeable = cum.flags.writeable = False  # shared by every caller
+    return totals, cum
 
 
 def sample_band_weights(n: int, band: Band, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Weight classes for ``size`` uniform draws from the banded cube.
+    """Weight classes for ``size`` uniform draws from the banded cube (n <= 63).
 
     This is the weight layer of :func:`sample_band_uniform`: class j is hit
     with probability C(n,j)/sum over the band, using exact integer arithmetic.
+    One ``integers(0, total, size)`` draw.
     """
-    counts = band_weight_counts(n, band)
-    cum, total = _cumulative(counts)
-    if total == 0:
+    totals, cum = _downset_classes(n, band)
+    if totals[n] == 0:
         raise ValueError(f"band {band} is empty on {{0..{n}}}")
-    us = rng.integers(0, total, size=size, dtype=np.uint64)
-    edges = np.array(cum, dtype=np.uint64)
-    idx = np.searchsorted(edges, us, side="right")
+    us = rng.integers(0, totals[n], size=size, dtype=np.uint64)
+    idx = np.searchsorted(cum[n], us, side="right")
     return np.asarray(band.lo + idx, dtype=np.int64)
 
 
-def _subset_of(positions: list[int], j: int, rng: np.random.Generator) -> int:
-    """Uniform j-subset of the given bit positions, as a point int."""
-    if j == 0:
-        return 0
-    order = rng.permutation(len(positions))
-    y = 0
-    for k in order[:j]:
-        y |= 1 << positions[k]
-    return y
+def _downset_weights(
+    rng: np.random.Generator, n: int, band: Band, ws: np.ndarray
+) -> np.ndarray:
+    """Weight class j of a uniform banded-downset point below each weight ws[i].
+
+    One ``integers(0, total_w)`` draw u per point, then j = band.lo plus the
+    number of cumulative class sizes <= u.
+    """
+    totals, cum = _downset_classes(n, band)
+    us = rng.integers(0, totals[ws], dtype=np.uint64)
+    return band.lo + (cum[ws] <= us[:, None]).sum(axis=1)
+
+
+def _lowest(keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per row i, the point whose bits are the columns of its counts[i] smallest keys.
+
+    Equal keys go to the lower column, as in a stable per-row argsort.
+    """
+    order = np.argsort(keys, axis=1, kind="stable")
+    taken = np.arange(keys.shape[1]) < counts[:, None]
+    return (_BIT[order] * taken).sum(axis=1, dtype=np.uint64)
+
+
+def _batch_band_points(n: int, weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Band points (uint64) with the given weight classes; one float row each from rng."""
+    return _lowest(rng.random((len(weights), n)), weights)
+
+
+def _subsets(xs: np.ndarray, sizes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per round i, the sizes[i]-subset of xs[i]'s bits that rows[i] selects.
+
+    The k-th set bit of xs[i], lowest first, takes the value rows[i, k]; the
+    subset is the bits with the sizes[i] smallest values.
+    """
+    n = rows.shape[1]
+    bits = ((xs[:, None] >> _BIT_INDEX[:n]) & np.uint64(1)).astype(bool)
+    rank = np.maximum(np.cumsum(bits, axis=1) - 1, 0)
+    keys = np.where(bits, rows[np.arange(len(rows))[:, None], rank], np.inf)
+    return _lowest(keys, sizes)
 
 
 def sample_band_uniform(n: int, band: Band, rng: np.random.Generator) -> int:
-    """Exactly uniform point with weight in the band.
+    """Exactly uniform point with weight in the band (n <= 63).
 
-    Draws the weight class with probability proportional to C(n,j) (exact
-    integer arithmetic), then a uniform j-subset of [n].
+    Draws the weight class with :func:`sample_band_weights`, then one row of
+    n doubles whose j smallest values pick the point's coordinates.
     """
-    j = int(sample_band_weights(n, band, rng, 1)[0])
-    return _subset_of(list(range(n)), j, rng)
+    weights = sample_band_weights(n, band, rng, 1)
+    return int(_batch_band_points(n, weights, rng)[0])
 
 
 def sample_down_band_uniform(x: int, band: Band, rng: np.random.Generator) -> int:
-    """Exactly uniform element of the banded downset of x (must be nonempty)."""
-    positions = [p for p in range(x.bit_length()) if (x >> p) & 1]
-    w = len(positions)
-    counts = [math.comb(w, j) for j in range(band.lo, min(w, band.hi) + 1)]
-    cum, total = _cumulative(counts)
-    if total == 0:
+    """Exactly uniform element of the banded downset of x (must be nonempty).
+
+    One ``integers(0, |downset|)`` draw picks the weight class j, then one
+    row of x.bit_length() doubles whose j smallest values on x's set bits
+    pick the point.
+    """
+    if down_band_count(x, band) == 0:
         raise ValueError("banded downset is empty")
-    u = int(rng.integers(0, total, dtype=np.uint64))
-    j = band.lo + bisect_right(cum, u)
-    return _subset_of(positions, j, rng)
+    n = x.bit_length()
+    js = _downset_weights(rng, n, band, np.array([x.bit_count()]))
+    return int(_subsets(np.array([x], dtype=np.uint64), js, rng.random((1, n)))[0])

@@ -24,7 +24,13 @@ from functools import lru_cache
 import numpy as np
 
 from .boolfn import Band, ResourceCapError, TruthTable, popcount_array
-from .violations import UcViolatingTuple
+from .violations import (
+    _STATE_CAP,
+    UcViolatingTuple,
+    _disjointness_graph,
+    _strip_isolated,
+    max_disjoint_i_pairs,
+)
 
 __all__ = [
     "DistanceResult",
@@ -137,19 +143,6 @@ def is_intersecting(f: TruthTable) -> bool:
 
 # -- minimum vertex cover (exact, tiny graphs) ----------------------------------
 
-_STATE_CAP = 2_000_000
-
-
-def _strip_isolated(avail: int, adj: list[int]) -> int:
-    out = avail
-    m = avail
-    while m:
-        low = m & -m
-        if not adj[low.bit_length() - 1] & avail:
-            out ^= low
-        m ^= low
-    return out
-
 
 def _vc_size(avail: int, adj: list[int], memo: dict[int, int]) -> int:
     avail = _strip_isolated(avail, adj)
@@ -217,8 +210,6 @@ def dist_int_bounds(f: TruthTable, max_ones: int = 30) -> tuple[DistanceResult, 
     repair must touch every pair of M, and zeroing both endpoints of each
     pair is a valid repair.
     """
-    from .violations import max_disjoint_i_pairs
-
     m, _ = max_disjoint_i_pairs(f, max_ones)
     total = 1 << f.arity
     lower = DistanceResult(m, total, "matching-bounds")
@@ -233,22 +224,10 @@ def dist_int_exact(f: TruthTable, max_ones: int = 30) -> DistanceResult:
     verified intersecting before returning.
     """
     _check_table_arity(f, 16)
-    ones = f.ones()
-    forced: list[int] = []
-    if ones and ones[0] == 0:
-        forced.append(0)  # self-loop: every cover contains 0^n
-        ones = ones[1:]
-    if len(ones) > max_ones:
-        raise ResourceCapError(f"{len(ones)} one-inputs exceeds cover cap {max_ones}")
-    adj = [0] * len(ones)
-    for i, u in enumerate(ones):
-        for j in range(i + 1, len(ones)):
-            if u & ones[j] == 0:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    zero, ones, adj = _disjointness_graph(f, max_ones, "cover")
     memo: dict[int, int] = {}
     cover_idx = _vc_witness((1 << len(ones)) - 1, adj, memo)
-    cover = forced + [ones[i] for i in cover_idx]
+    cover = ([0] if zero else []) + [ones[i] for i in cover_idx]  # 0^n: self-loop
     bits = f.bits
     for p in cover:
         bits &= ~(1 << p)

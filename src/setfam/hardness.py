@@ -98,6 +98,32 @@ def talagrand_params(n: int, eps: float) -> tuple[int, int]:
     return term_size, num_terms
 
 
+def _unique_term(x: int, terms: tuple[int, ...]) -> int:
+    """Index of the one term mask that x satisfies; -1 if none, -2 if several."""
+    found = -1
+    for i, t in enumerate(terms):
+        if x & t == t:
+            if found != -1:
+                return -2
+            found = i
+    return found
+
+
+def _unique_terms(xs: np.ndarray, terms: tuple[int, ...]) -> np.ndarray:
+    """:func:`_unique_term` at every point of a uint64 array, as int32."""
+    seen = np.zeros(xs.shape, dtype=bool)
+    many = np.zeros(xs.shape, dtype=bool)
+    ell = np.zeros(xs.shape, dtype=np.int32)
+    for i, t in enumerate(terms):
+        sat = (xs & np.uint64(t)) == np.uint64(t)
+        many |= seen & sat
+        seen |= sat
+        np.putmask(ell, sat, i)
+    np.putmask(ell, ~seen, -1)
+    np.putmask(ell, many, -2)
+    return ell
+
+
 @dataclass(frozen=True)
 class TalagrandDnf:
     """Ordered monotone terms over [n], stored as dedupped coordinate masks."""
@@ -120,13 +146,8 @@ class TalagrandDnf:
 
     def unique_term(self, x: int) -> int | None:
         """The term index if exactly one term is satisfied, else None."""
-        found = None
-        for i, t in enumerate(self.terms):
-            if x & t == t:
-                if found is not None:
-                    return None
-                found = i
-        return found
+        ell = _unique_term(x, self.terms)
+        return ell if ell >= 0 else None
 
     def __call__(self, x: int) -> int:
         return 1 if any(x & t == t for t in self.terms) else 0
@@ -228,7 +249,9 @@ def unique_sat_probability(
         weights = unique_sat_window(n, eps)
     per_weight = {}
     total_hits = 0
-    chunk = 1 << 14
+    # The draws fill each (trials, terms, size) block in row order, so blocks
+    # of about 2^16 draws read the same values as one block per weight.
+    chunk = max(1, (1 << 16) // (num_terms * term_size))
     for w in weights:
         hits = 0
         left = trials
@@ -333,15 +356,6 @@ class IntersectInstance:
     def action_mask(self) -> int:
         return _mask_of(self.action_coords)
 
-    def _unique_embedded(self, x: int) -> int | None:
-        found = None
-        for i, t in enumerate(self.term_masks):
-            if x & t == t:
-                if found is not None:
-                    return None
-                found = i
-        return found
-
     def _eval(self, u: int) -> int:
         n = self.n
         x = u & ((1 << n) - 1)
@@ -352,8 +366,8 @@ class IntersectInstance:
         if self.kind == "one_sided_no":
             return self._eval_one_sided(x)
         control_view = x if y1 == 0 else x ^ ((1 << n) - 1)
-        ell = self._unique_embedded(control_view)
-        if ell is None:
+        ell = _unique_term(control_view, self.term_masks)
+        if ell < 0:
             return 0
         region = _action_region((x & self.action_mask).bit_count(), self.a)
         bl = self.b[ell]
@@ -384,44 +398,21 @@ class IntersectInstance:
     def materialize(self) -> TruthTable:
         """Full table over 2^(n+2) points, built vectorized."""
         n = self.n
-        if self.arity > 24:
+        if self.arity > 24:  # one_sided_no needs n >= 50, so it never gets past here
             raise ResourceCapError("materialize is capped at arity <= 24")
         xs = np.arange(1 << n, dtype=np.uint64)
-        full = np.uint64((1 << n) - 1)
-        side01 = np.zeros(1 << n, dtype=np.uint8)
-        side10 = np.zeros(1 << n, dtype=np.uint8)
-        if self.kind == "one_sided_no":
-            k2 = n * math.log(1.0 / self.eps)
-            d = 2 * popcount_array(xs) - n
-            wa = popcount_array(xs & np.uint64(self.action_mask))
-            e = n - 200 * wa
-            val = ((d * d <= 400.0 * k2) & (e > 0) & (e * e > 40000.0 * k2)).astype(
-                np.uint8
-            )
-            side01 = val
-            side10 = val
-        else:
-            regions = _action_regions_arr(
-                popcount_array(xs & np.uint64(self.action_mask)), self.a
-            )
-            for view, out in ((xs, side01), (xs ^ full, side10)):
-                sat = np.stack(
-                    [(view & np.uint64(t)) == np.uint64(t) for t in self.term_masks]
-                )
-                unique = sat.sum(axis=0) == 1
-                for ell, t in enumerate(self.term_masks):
-                    sel = unique & sat[ell]
-                    bl = self.b[ell]
-                    if self.kind == "yes":
-                        active = (bl == 1) if out is side01 else (bl == 0)
-                        if active:
-                            out[sel & (regions != 0)] = 1
-                    else:
-                        want = 1 if bl == 0 else -1
-                        out[sel & (regions == want)] = 1
+        regions = _action_regions_arr(popcount_array(xs & np.uint64(self.action_mask)), self.a)
+        b = np.array(self.b)
         table = np.zeros(1 << (n + 2), dtype=np.uint8)
-        table[(1 << (n + 1)) : (1 << (n + 1)) + (1 << n)] = side01  # (x, 0, 1)
-        table[(1 << n) : (1 << n) + (1 << n)] = side10  # (x, 1, 0)
+        for y1, view in ((0, xs), (1, xs ^ np.uint64((1 << n) - 1))):
+            ell = _unique_terms(view, self.term_masks)
+            bl = b[np.maximum(ell, 0)]
+            if self.kind == "yes":
+                hit = (bl == 1 - y1) & (regions != 0)
+            else:
+                hit = regions == np.where(bl == 0, 1, -1)
+            start = 1 << (n + 1 - y1)  # (x, 0, 1) is 2^(n+1) + x, (x, 1, 0) is 2^n + x
+            table[start : start + (1 << n)] = (ell >= 0) & hit
         return TruthTable.from_array(self.arity, table)
 
     def to_json_obj(self) -> dict:
@@ -480,14 +471,10 @@ def count_int_no_violations(inst: IntersectInstance) -> int:
     m = inst.n - inst.a
     if m > 22:
         raise ResourceCapError("control space too large to scan")
-    vs = np.arange(1 << m, dtype=np.uint64)
     assert inst.dnf is not None
-    sat = np.stack([(vs & np.uint64(t)) == np.uint64(t) for t in inst.dnf.terms])
-    unique = sat.sum(axis=0) == 1
-    good = 0
-    for ell in range(inst.dnf.num_terms):
-        if inst.b[ell] == 1:
-            good += int(np.count_nonzero(unique & sat[ell]))
+    ell = _unique_terms(np.arange(1 << m, dtype=np.uint64), inst.dnf.terms)
+    per_term = np.bincount(ell[ell >= 0], minlength=inst.dnf.num_terms)
+    good = sum(int(c) for c, bl in zip(per_term, inst.b) if bl == 1)
     return good * _bottom_region_count(inst.a)
 
 
@@ -558,16 +545,9 @@ class UcInstance:
         return _mask_of(self.action_coords)
 
     def _eval(self, x: int) -> int:
-        count = 0
-        ell = -1
-        for i, t in enumerate(self.term_masks):
-            if x & t == t:
-                count += 1
-                if count >= 2:
-                    return 1
-                ell = i
-        if count == 0:
-            return 0
+        ell = _unique_term(x, self.term_masks)
+        if ell < 0:
+            return 1 if ell == -2 else 0
         xa = x & self.action_mask
         if self.kind == "yes":
             return 1 if xa == self.s[ell] else 0
@@ -582,19 +562,19 @@ class UcInstance:
         if self.n > 24:
             raise ResourceCapError("materialize is capped at arity <= 24")
         xs = np.arange(1 << self.n, dtype=np.uint64)
-        sat = np.stack([(xs & np.uint64(t)) == np.uint64(t) for t in self.term_masks])
-        counts = sat.sum(axis=0)
-        val = (counts >= 2).astype(np.uint8)
-        unique = counts == 1
+        ell = _unique_terms(xs, self.term_masks)
         amask = np.uint64(self.action_mask)
         xa = xs & amask
-        for ell in range(len(self.term_masks)):
-            sel = unique & sat[ell]
+        val = ell == -2
+        for i in range(len(self.term_masks)):
             if self.kind == "yes":
-                val[sel & (xa == np.uint64(self.s[ell]))] = 1
-            elif self.b[ell] == 1:
-                r = np.uint64(self.r[ell])
-                val[sel & ((xa == r) | (xa == (r ^ amask)))] = 1
+                hit = xa == np.uint64(self.s[i])
+            elif self.b[i] == 1:
+                r = np.uint64(self.r[i])
+                hit = (xa == r) | (xa == (r ^ amask))
+            else:
+                continue
+            val |= (ell == i) & hit
         return TruthTable.from_array(self.n, val)
 
     def to_json_obj(self) -> dict:
@@ -662,15 +642,11 @@ def count_uc_no_violations(inst: UcInstance) -> int:
     c = inst.n - inst.a
     if c > 22:
         raise ResourceCapError("control space too large to scan")
-    vs = np.arange(1 << c, dtype=np.uint64)
-    sat = np.stack([(vs & np.uint64(t)) == np.uint64(t) for t in inst.dnf.terms])
-    unique = sat.sum(axis=0) == 1
+    ell = _unique_terms(np.arange(1 << c, dtype=np.uint64), inst.dnf.terms)
+    per_term = np.bincount(ell[ell >= 0], minlength=inst.dnf.num_terms)
     amask = inst.action_mask
-    total = 0
-    for ell in range(inst.dnf.num_terms):
-        if inst.b[ell] == 1 and inst.r[ell] not in (0, amask):
-            total += int(np.count_nonzero(unique & sat[ell]))
-    return total
+    return sum(int(k) for k, bl, r in zip(per_term, inst.b, inst.r)
+               if bl == 1 and r not in (0, amask))
 
 
 def load_instance(obj: dict):

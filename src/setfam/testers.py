@@ -50,7 +50,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -60,6 +59,9 @@ from .boolfn import (
     Band,
     QueryCounter,
     ResourceCapError,
+    _batch_band_points,
+    _downset_weights,
+    _subsets,
     mid_band,
     sample_band_weights,
 )
@@ -162,9 +164,6 @@ def _tau_rounds(cfg: TesterConfig, n: int) -> int:
 CHUNK_MIN = 64
 CHUNK_MAX = 8192
 
-_BIT_INDEX = np.arange(64, dtype=np.uint64)
-_BIT = np.uint64(1) << _BIT_INDEX
-
 
 def _chunks(count: int) -> Iterator[tuple[int, int]]:
     """[start, stop) of consecutive chunks of 64, 128, ... 8192, 8192, ... rounds."""
@@ -173,66 +172,6 @@ def _chunks(count: int) -> Iterator[tuple[int, int]]:
         stop = min(count, start + size)
         yield start, stop
         start, size = stop, min(2 * size, CHUNK_MAX)
-
-
-def _lowest(keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per row i, the point whose bits are the columns of its counts[i] smallest keys.
-
-    Equal keys go to the lower column, as in a stable per-row argsort.
-    """
-    order = np.argsort(keys, axis=1, kind="stable")
-    taken = np.arange(keys.shape[1]) < counts[:, None]
-    return (_BIT[order] * taken).sum(axis=1, dtype=np.uint64)
-
-
-def _batch_band_points(n: int, weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Band points (uint64) with the given weight classes; one float row each from rng."""
-    return _lowest(rng.random((len(weights), n)), weights)
-
-
-def _subsets(xs: np.ndarray, sizes: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Per round i, the sizes[i]-subset of xs[i]'s bits that rows[i] selects.
-
-    The k-th set bit of xs[i], lowest first, takes the value rows[i, k]; the
-    subset is the bits with the sizes[i] smallest values.
-    """
-    n = rows.shape[1]
-    bits = ((xs[:, None] >> _BIT_INDEX[:n]) & np.uint64(1)).astype(bool)
-    rank = np.maximum(np.cumsum(bits, axis=1) - 1, 0)
-    keys = np.where(bits, rows[np.arange(len(rows))[:, None], rank], np.inf)
-    return _lowest(keys, sizes)
-
-
-@lru_cache(maxsize=256)
-def _downset_classes(n: int, band: Band) -> tuple[np.ndarray, np.ndarray]:
-    """Class sizes of the banded downset of a weight-w point, for w = 0..n.
-
-    Returns (totals[w], cum[w, t]): the downset's size and the cumulative
-    size of its classes band.lo..band.lo + t, padded with the uint64 maximum.
-    """
-    totals = np.zeros(n + 1, dtype=np.uint64)
-    cum = np.full((n + 1, band.hi - band.lo + 1), np.iinfo(np.uint64).max, dtype=np.uint64)
-    for w in range(n + 1):
-        total = 0
-        for t, j in enumerate(range(band.lo, min(w, band.hi) + 1)):
-            total += math.comb(w, j)
-            cum[w, t] = total
-        totals[w] = total
-    totals.flags.writeable = cum.flags.writeable = False  # shared by every run
-    return totals, cum
-
-
-def _downset_weights(
-    rng: np.random.Generator, n: int, band: Band, ws: np.ndarray
-) -> np.ndarray:
-    """Weight class j of a uniform banded-downset point below each weight ws[i].
-
-    One ``integers(0, total_w)`` draw u per point, then j = band.lo plus the
-    number of cumulative class sizes <= u.
-    """
-    totals, cum = _downset_classes(n, band)
-    us = rng.integers(0, totals[ws], dtype=np.uint64)
-    return band.lo + (cum[ws] <= us[:, None]).sum(axis=1)
 
 
 def _cursor(rng: np.random.Generator, words: int) -> np.random.Generator:

@@ -218,21 +218,53 @@ def is_minimal_tuple(t: UcViolatingTuple) -> bool:
     return True
 
 
-# -- exact maximum matching on the disjointness graph -------------------------
+# -- the disjointness graph on 1-inputs -----------------------------------------
 
+#: Memoised states a vertex-cover or matching search may store before refusing.
 _STATE_CAP = 2_000_000
 
 
+def _disjointness_graph(
+    f: TruthTable, max_vertices: int, cap_name: str
+) -> tuple[bool, list[int], list[int]]:
+    """(zero, ones, adj): the graph whose edges join disjoint 1-inputs of f.
+
+    0^n is disjoint from every point, itself included, so a search handles
+    its self-loop apart: ``zero`` says whether 0^n is a 1-input, and the
+    vertices ``ones`` are the other 1-inputs, ascending.  ``adj[i]`` is the
+    bitmask of the vertex indices disjoint from ones[i].  More than
+    ``max_vertices`` vertices raise ResourceCapError.
+    """
+    ones = f.ones()
+    zero = bool(ones) and ones[0] == 0
+    if zero:
+        ones = ones[1:]
+    if len(ones) > max_vertices:
+        raise ResourceCapError(
+            f"{len(ones)} one-inputs exceeds the {cap_name} cap {max_vertices}"
+        )
+    adj = [0] * len(ones)
+    for i, u in enumerate(ones):
+        for j in range(i + 1, len(ones)):
+            if u & ones[j] == 0:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return zero, ones, adj
+
+
 def _strip_isolated(avail: int, adj: list[int]) -> int:
+    """avail without its vertices that have no neighbour in avail."""
     out = avail
     m = avail
     while m:
         low = m & -m
-        v = low.bit_length() - 1
-        if not adj[v] & avail:
+        if not adj[low.bit_length() - 1] & avail:
             out ^= low
         m ^= low
     return out
+
+
+# -- exact maximum matching on the disjointness graph -------------------------
 
 
 def _matching_size(avail: int, adj: list[int], memo: dict[int, int]) -> int:
@@ -306,29 +338,13 @@ def max_disjoint_i_pairs(
     memoization; graphs here are sparse because disjoint partners of x live
     inside the complement subcube of x.
     """
-    ones = f.ones()
-    pairs: list[IViolatingPair] = []
-    count = 0
-    if ones and ones[0] == 0:
-        pairs.append(IViolatingPair(0, 0))
-        count += 1
-        ones = ones[1:]
-    if len(ones) > max_vertices:
-        raise ResourceCapError(
-            f"{len(ones)} one-inputs exceeds the matching cap {max_vertices}"
-        )
-    adj = [0] * len(ones)
-    for i, u in enumerate(ones):
-        for j in range(i + 1, len(ones)):
-            if u & ones[j] == 0:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    zero, ones, adj = _disjointness_graph(f, max_vertices, "matching")
+    pairs = [IViolatingPair(0, 0)] if zero else []
     memo: dict[int, int] = {}
     full = (1 << len(ones)) - 1
     for i, j in _matching_witness(full, adj, memo):
         pairs.append(IViolatingPair(ones[i], ones[j]))
-        count += 1
-    return count, pairs
+    return len(pairs), pairs
 
 
 # -- perfect matchings between complementary levels ----------------------------

@@ -177,6 +177,23 @@ class TestSampling:
             y = sample_down_band_uniform(x, band, rng)
             assert y & x == y and y.bit_count() in band
 
+    def test_downset_sampler_is_uniform_4sigma(self):
+        x, band, draws = 0b1011010001, Band(1, 3), 50_000
+        points = list(enumerate_down_band(x, band))
+        assert len(points) == 25
+        rng = stream(6)
+        counts = dict.fromkeys(points, 0)
+        for _ in range(draws):
+            counts[sample_down_band_uniform(x, band, rng)] += 1  # KeyError if outside
+        p = 1 / len(points)
+        sigma = math.sqrt(draws * p * (1 - p))
+        for y, c in counts.items():
+            assert abs(c - draws * p) < 4 * sigma, (y, c)
+
+    def test_downset_sampler_refuses_an_empty_downset(self):
+        with pytest.raises(ValueError):
+            sample_down_band_uniform(0b101, Band(3, 4), stream(1))
+
     def test_band_weight_counts(self):
         assert band_weight_counts(4, Band(1, 2)) == [4, 6]
 

@@ -2,12 +2,17 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setfam.violations import TripleCertificate
 from setfam.distance import dist_int_exact, is_intersecting, is_union_closed
 from setfam.hardness import (
     BadEventParams,
+    _unique_term,
+    _unique_terms,
     bad_pair_bound,
     build_int_instance,
     build_uc_instance,
@@ -56,6 +61,17 @@ class TestTalagrand:
         assert dnf.sat_count(full) == dnf.num_terms
         assert dnf.unique_term(0) is None
 
+    @given(st.lists(st.integers(0, 2**10 - 1), max_size=6),
+           st.lists(st.integers(0, 2**10 - 1), min_size=1, max_size=40))
+    @settings(max_examples=200)
+    def test_unique_term_scalar_and_vector_agree(self, terms, xs):
+        terms = tuple(terms)
+        got = _unique_terms(np.array(xs, dtype=np.uint64), terms)
+        for x, ell in zip(xs, got.tolist()):
+            sat = [i for i, t in enumerate(terms) if x & t == t]
+            want = sat[0] if len(sat) == 1 else (-1 if not sat else -2)
+            assert _unique_term(x, terms) == ell == want
+
 
 class TestUniqueSat:
     def test_window_rounding(self):
@@ -90,6 +106,19 @@ class TestUniqueSat:
         sigma = math.sqrt(expect * (1 - expect) / 40000)
         assert abs(est - expect) < 4.5 * sigma
 
+    def test_memory_is_bounded_by_blocks_not_trials(self):
+        # one (16384, 102, 10) int64 block per call took 158 MiB here
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            res = unique_sat_probability(25, 0.5, 20000, stream(13))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.trials == 20000 and 0.0 < res.pooled[0] < 1.0
+        assert peak < 8 * 2**20, peak
+
     def test_wilson_sanity(self):
         lo, hi = wilson_interval(900, 1000)
         assert 0.85 < lo < 0.9 < hi < 0.93
@@ -119,8 +148,8 @@ class TestIntersectInstances:
         f = inst.function()
         hits = 0
         for x in range(1 << n):
-            ell = inst._unique_embedded(x)
-            if ell is None or inst.b[ell] != 1:
+            ell = _unique_term(x, inst.term_masks)
+            if ell < 0 or inst.b[ell] != 1:
                 continue
             wa = (x & inst.action_mask).bit_count()
             d = 2 * wa - a
