@@ -7,9 +7,12 @@ is the int 0b110 = 6.  Hamming weight is ``x.bit_count()``.  Dense points are
 restricted to n <= 63.
 
 A function oracle is anything with an ``arity`` attribute that maps a point
-int to 0/1 when called.  ``BooleanFunction`` wraps a closure lazily (nothing
-is materialized, so composed functions work at any n); ``TruthTable`` is the
-dense materialization for n <= 24 and backs the exact oracles.
+int to 0/1 when called.  It may also have a ``batch`` method that maps a
+uint64 array of points to a uint8 array of answers; callers evaluate arrays
+through it when it is there and point by point otherwise.
+``BooleanFunction`` wraps a closure lazily (nothing is materialized, so
+composed functions work at any n); ``TruthTable`` is the dense
+materialization for n <= 24 and backs the exact oracles.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -44,6 +46,8 @@ __all__ = [
     "truncate_int",
     "down_band_count",
     "enumerate_down_band",
+    "down_band_counts",
+    "down_band_blocks",
     "band_weight_counts",
     "sample_band_weights",
     "sample_band_uniform",
@@ -58,6 +62,11 @@ MAX_TABLE_ARITY = 24
 
 #: Refuse banded-downset enumerations predicted to exceed this many points.
 DEFAULT_ENUMERATION_CAP = 2**28
+
+#: Points per block of banded-downset enumeration and per oracle evaluation
+#: of the witness checks, and the size of the largest cached pattern table.
+#: Larger blocks left their memory resident in the allocator.
+BLOCK = 1 << 12
 
 
 class ResourceCapError(RuntimeError):
@@ -78,27 +87,15 @@ def weight(x: int) -> int:
     return x.bit_count()
 
 
-_POP16: np.ndarray | None = None
-
-
 def popcount_array(a: np.ndarray) -> np.ndarray:
-    """Elementwise popcount of an unsigned integer array (up to 64-bit)."""
-    global _POP16
-    if _POP16 is None:
-        v = np.arange(1 << 16, dtype=np.uint16)
-        _POP16 = (
-            np.unpackbits(v.view(np.uint8).reshape(-1, 2), axis=1, bitorder="little")
-            .sum(axis=1)
-            .astype(np.uint8)
-        )
+    """Elementwise popcount of an integer array (up to 64-bit), as int64.
+
+    Signed values count the bits of their two's complement.
+    """
     a = np.asarray(a)
-    if a.dtype.kind != "u" or a.dtype.itemsize == 1:
+    if a.dtype.kind != "u":
         a = a.astype(np.uint64)
-    word = a.dtype.type(0xFFFF)
-    out = _POP16[a if a.dtype.itemsize == 2 else a & word].astype(np.int64)
-    for shift in range(16, 8 * a.dtype.itemsize, 16):
-        out += _POP16[(a >> a.dtype.type(shift)) & word]
-    return out
+    return np.bitwise_count(a).astype(np.int64)
 
 
 def parse_bits(s: str) -> int:
@@ -156,23 +153,41 @@ def mid_band(n: int, eps: float, widened: bool = False) -> Band:
 
 
 class BooleanFunction:
-    """Lazy query oracle over {0,1}^arity; eval must be pure."""
+    """Lazy query oracle over {0,1}^arity; eval must be pure.
 
-    __slots__ = ("arity", "_fn")
+    ``batch``, if given, is the same function on a uint64 array of points,
+    answering a uint8 array; without it the attribute is None.
+    """
 
-    def __init__(self, arity: int, fn: Callable[[int], int]):
+    __slots__ = ("arity", "_fn", "batch")
+
+    def __init__(
+        self,
+        arity: int,
+        fn: Callable[[int], int],
+        batch: Callable[[np.ndarray], np.ndarray] | None = None,
+    ):
         if not 1 <= arity <= MAX_DENSE_ARITY:
             raise ValueError(f"arity must be in [1, {MAX_DENSE_ARITY}]")
         self.arity = arity
         self._fn = fn
+        self.batch = batch
 
     def __call__(self, x: int) -> int:
         return self._fn(x)
 
 
+def _answers(f, points: np.ndarray) -> np.ndarray:
+    """f at each point, as uint8: one ``f.batch`` call, or one call per point."""
+    batch = getattr(f, "batch", None)
+    if batch is not None:
+        return batch(points)
+    return np.fromiter(map(f, points.tolist()), dtype=np.uint8, count=len(points))
+
+
 def const_function(n: int, value: int) -> BooleanFunction:
     v = 1 if value else 0
-    return BooleanFunction(n, lambda x: v)
+    return BooleanFunction(n, lambda x: v, lambda xs: np.full(len(xs), v, dtype=np.uint8))
 
 
 def dictator(n: int, coord: int = 1) -> BooleanFunction:
@@ -180,19 +195,24 @@ def dictator(n: int, coord: int = 1) -> BooleanFunction:
     if not 1 <= coord <= n:
         raise ValueError("coordinate out of range")
     bit = coord - 1
-    return BooleanFunction(n, lambda x: (x >> bit) & 1)
+    return BooleanFunction(
+        n, lambda x: (x >> bit) & 1,
+        lambda xs: ((xs >> np.uint64(bit)) & np.uint64(1)).astype(np.uint8))
 
 
 def majority(n: int) -> BooleanFunction:
     thr = n / 2.0
-    return BooleanFunction(n, lambda x: 1 if x.bit_count() > thr else 0)
+    return BooleanFunction(
+        n, lambda x: 1 if x.bit_count() > thr else 0,
+        lambda xs: (popcount_array(xs) > thr).astype(np.uint8))
 
 
 class QueryCounter:
     """Counting wrapper around an oracle; the tally is thread-safe.
 
     Wrapping never changes returned values, and the count goes up by exactly
-    one per evaluation.
+    one per evaluation: ``batch`` adds the number of points once, then
+    evaluates them through the inner oracle's ``batch`` or point by point.
     """
 
     __slots__ = ("arity", "_inner", "_count", "_lock")
@@ -207,6 +227,11 @@ class QueryCounter:
         with self._lock:
             self._count += 1
         return self._inner(x)
+
+    def batch(self, xs: np.ndarray) -> np.ndarray:
+        with self._lock:
+            self._count += len(xs)
+        return _answers(self._inner, xs)
 
     @property
     def count(self) -> int:
@@ -248,14 +273,16 @@ class TruthTable:
 
     @classmethod
     def from_callable(cls, f) -> "TruthTable":
+        """Table of an oracle, evaluated a block of points at a time."""
         n = f.arity
         if n > MAX_TABLE_ARITY:
             raise ValueError(f"cannot materialize arity {n} > {MAX_TABLE_ARITY}")
-        bits = 0
-        for p in range(1 << n):
-            if f(p):
-                bits |= 1 << p
-        return cls(n, bits)
+        size = 1 << n
+        values = np.empty(size, dtype=np.uint8)
+        for lo in range(0, size, BLOCK):
+            hi = min(size, lo + BLOCK)
+            values[lo:hi] = _answers(f, np.arange(lo, hi, dtype=np.uint64)) != 0
+        return cls.from_array(n, values)
 
     @classmethod
     def from_array(cls, arity: int, values: np.ndarray) -> "TruthTable":
@@ -414,26 +441,179 @@ def enumerate_down_band(
     Order: ascending weight, then ascending combinations of x's set bits.
     Refuses up front (EnumerationCapError) if the closed-form cardinality
     exceeds ``cap``; the caller must see resource failure, not wrong answers.
+    This is :func:`down_band_blocks` of the one root x, flattened.
     """
     predicted = down_band_count(x, band)
     if predicted > cap:
         raise EnumerationCapError(predicted, cap)
-    positions = []
-    bits = x
-    while bits:
-        low = bits & -bits
-        positions.append(low.bit_length() - 1)
-        bits ^= low
-    w = len(positions)
-    for j in range(band.lo, min(w, band.hi) + 1):
-        if j == 0:
-            yield 0
+    for _, ys in down_band_blocks(np.array([x], dtype=np.uint64), band):
+        yield from ys.tolist()
+
+
+def down_band_counts(roots: np.ndarray, band: Band) -> np.ndarray:
+    """:func:`down_band_count` of every point of a uint64 array, as uint64."""
+    totals, _ = _downset_classes(MAX_DENSE_ARITY, band)
+    return totals[popcount_array(roots)]
+
+
+def down_band_blocks(
+    roots: np.ndarray, band: Band, size: int = BLOCK
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The banded downsets of an array of roots, as blocks (owner, ys) of uint64 points.
+
+    Concatenated, the blocks' ys list the downset of roots[0], then that of
+    roots[1], and so on, each in the order of :func:`enumerate_down_band`;
+    owner[k] is the index of the root that ys[k] lies below.  Consecutive
+    roots share a block while their downsets fit in ``size`` points (at most
+    BLOCK); a downset larger than that gets blocks of its own, all full but
+    the last.  A nonempty array of roots gives at least one block.
+    """
+    if not 1 <= size <= BLOCK:
+        raise ValueError(f"block size must lie in [1, {BLOCK}]")
+    roots = np.asarray(roots, dtype=np.uint64)
+    weights = popcount_array(roots)
+    totals, _ = _downset_classes(MAX_DENSE_ARITY, band)
+    counts = totals[weights].tolist()
+    patterns, offsets = _pattern_store(band)
+    for start, stop in _runs(counts, size):
+        if counts[start] > size:  # one root, split into blocks
+            one = np.zeros(size, dtype=np.intp)
+            for pat in _rechunk(_combination_blocks(int(weights[start]), band), size):
+                ys = _scatter(pat, roots[start:stop], one[: len(pat)])
+                yield one[: len(pat)] + start, ys
             continue
-        for combo in combinations(positions, j):
-            y = 0
-            for p in combo:
-                y |= 1 << p
-            yield y
+        sizes = np.array(counts[start:stop], dtype=np.intp)
+        ends = np.cumsum(sizes)
+        local = np.repeat(np.arange(stop - start), sizes)
+        firsts = offsets[weights[start:stop]] - (ends - sizes)
+        idx = np.arange(ends[-1]) + firsts[local]
+        yield local + start, _scatter(patterns[idx], roots[start:stop], local)
+
+
+def _runs(costs: list[int], size: int) -> Iterator[tuple[int, int]]:
+    """[start, stop) runs of consecutive items whose costs sum to at most size.
+
+    A run stops before the item that would take it past size; an item that
+    costs more than size on its own is a run of one.
+    """
+    start = total = 0
+    for i, c in enumerate(costs):
+        if i > start and total + c > size:
+            yield start, i
+            start, total = i, 0
+        total += c
+    if start < len(costs):
+        yield start, len(costs)
+
+
+def _scatter(patterns: np.ndarray, roots: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Bit k of each pattern moved to the k-th lowest set bit of its root roots[owner].
+
+    A byte of roots at a time: the byte's set bits take the next pattern
+    bits, through a table of all (byte, pattern byte) pairs.
+    """
+    out = np.zeros(len(patterns), dtype=np.uint64)
+    used = np.zeros(len(roots), dtype=np.uint64)  # pattern bits taken by lower bytes
+    for b in range(0, int(roots.max()).bit_length(), 8):
+        byte = ((roots >> np.uint64(b)) & np.uint64(0xFF)).astype(np.intp)
+        low = ((patterns >> used[owner]) & np.uint64(0xFF)).astype(np.intp)
+        out |= _DEPOSIT8[(byte << 8)[owner] | low] << np.uint64(b)
+        used += _POP8[byte]
+    return out
+
+
+def _deposit_table() -> tuple[np.ndarray, np.ndarray]:
+    """(deposit, pop): deposit[256 r + p] puts the low bits of p on the set bits of r; pop[r] = |r|."""
+    r = np.arange(256, dtype=np.uint64)[:, None]
+    p = np.arange(256, dtype=np.uint64)[None, :]
+    deposit = np.zeros((256, 256), dtype=np.uint64)
+    used = np.zeros((256, 1), dtype=np.uint64)
+    for i in range(8):
+        bit = (r >> np.uint64(i)) & np.uint64(1)
+        deposit |= ((p >> used) & bit) << np.uint64(i)
+        used += bit
+    return deposit.ravel(), used.ravel()
+
+
+_DEPOSIT8, _POP8 = _deposit_table()
+
+
+def _rechunk(arrays: Iterator[np.ndarray], size: int) -> Iterator[np.ndarray]:
+    """The concatenation of arrays, cut into consecutive arrays of size (the last shorter)."""
+    held: list[np.ndarray] = []
+    room = size
+    for a in arrays:
+        while len(a) >= room:
+            held.append(a[:room])
+            yield np.concatenate(held)
+            a = a[room:]
+            held, room = [], size
+        if len(a):
+            held.append(a)
+            room -= len(a)
+    if held:
+        yield np.concatenate(held)
+
+
+@lru_cache(maxsize=None)
+def _combinations(m: int, j: int) -> np.ndarray:
+    """The j-subsets of range(m) as bit masks, in itertools.combinations order.
+
+    The subsets holding 0 come first, then the rest; each part is the
+    (j-1)- or j-subsets of range(1, m) in the same order.  Only built for
+    C(m, j) <= BLOCK.
+    """
+    if j == 0:
+        out = np.zeros(1, dtype=np.uint64)
+    elif j > m:
+        out = np.zeros(0, dtype=np.uint64)
+    else:
+        one = np.uint64(1)
+        out = np.concatenate((_combinations(m - 1, j - 1) << one | one,
+                              _combinations(m - 1, j) << one))
+    out.flags.writeable = False  # shared by every caller
+    return out
+
+
+def _combination_pieces(m: int, j: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The j-subsets of range(m) in order, as pieces (prefix, shift, table).
+
+    A piece stands for prefix | table << shift, with a cached table of at
+    most BLOCK subsets; the split follows :func:`_combinations`.
+    """
+    if math.comb(m, j) <= BLOCK:
+        yield 0, 0, _combinations(m, j)
+        return
+    for prefix, shift, table in _combination_pieces(m - 1, j - 1):
+        yield 1 | prefix << 1, shift + 1, table
+    for prefix, shift, table in _combination_pieces(m - 1, j):
+        yield prefix << 1, shift + 1, table
+
+
+def _combination_blocks(w: int, band: Band) -> Iterator[np.ndarray]:
+    """The banded downset of the point 2^w - 1 in order, a piece at a time."""
+    for j in range(band.lo, min(w, band.hi) + 1):
+        for prefix, shift, table in _combination_pieces(w, j):
+            yield table << np.uint64(shift) | np.uint64(prefix)
+
+
+@lru_cache(maxsize=64)
+def _pattern_store(band: Band) -> tuple[np.ndarray, np.ndarray]:
+    """(patterns, offsets): the banded downsets of 2^w - 1 that fit in BLOCK points.
+
+    The downset for weight w starts at patterns[offsets[w]]; downset sizes
+    grow with w, so the store holds w = 0, 1, ... up to the last that fits.
+    For a middle-layers band that is about 2 * BLOCK patterns in all.
+    """
+    totals, _ = _downset_classes(MAX_DENSE_ARITY, band)
+    fits = int(np.searchsorted(totals, BLOCK, side="right"))
+    tables = [np.concatenate([np.zeros(0, dtype=np.uint64), *_combination_blocks(w, band)])
+              for w in range(fits)]
+    offsets = np.zeros(MAX_DENSE_ARITY + 2, dtype=np.intp)
+    offsets[1:fits + 1] = np.cumsum([len(t) for t in tables])
+    patterns = np.concatenate([np.zeros(0, dtype=np.uint64), *tables])
+    patterns.flags.writeable = offsets.flags.writeable = False
+    return patterns, offsets
 
 
 # -- band sampling -----------------------------------------------------------

@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .boolfn import (
+    MAX_TABLE_ARITY,
     BooleanFunction,
     ResourceCapError,
     TruthTable,
@@ -56,6 +58,7 @@ __all__ = [
 ]
 
 MAX_TERMS = 1 << 20
+_DRAW_BLOCK = 1 << 16  # Monte Carlo values drawn per block
 _Z99 = 2.5758293035489004
 _Z95 = 1.959963984540054
 
@@ -249,18 +252,9 @@ def unique_sat_probability(
         weights = unique_sat_window(n, eps)
     per_weight = {}
     total_hits = 0
-    # The draws fill each (trials, terms, size) block in row order, so blocks
-    # of about 2^16 draws read the same values as one block per weight.
-    chunk = max(1, (1 << 16) // (num_terms * term_size))
     for w in weights:
-        hits = 0
-        left = trials
-        while left:
-            batch = min(chunk, left)
-            draws = rng.integers(0, n, size=(batch, num_terms, term_size))
-            sat = (draws < w).all(axis=2)
-            hits += int(np.count_nonzero(sat.sum(axis=1) == 1))
-            left -= batch
+        hits = sum(int(np.count_nonzero(counts == 1))
+                   for counts in _sat_counts(rng, n, w, trials, num_terms, term_size))
         lo, hi = wilson_interval(hits, trials)
         per_weight[w] = (hits / trials, lo, hi)
         total_hits += hits
@@ -268,6 +262,30 @@ def unique_sat_probability(
     lo, hi = wilson_interval(total_hits, pool_n)
     pooled = (total_hits / pool_n, lo, hi)
     return UniqueSatResult(n, eps, trials, per_weight, pooled)
+
+
+def _sat_counts(rng: np.random.Generator, n: int, w: int, trials: int,
+                num_terms: int, term_size: int) -> Iterator[np.ndarray]:
+    """Satisfied-term counts at the canonical weight-w input, of ``trials`` fresh DNFs.
+
+    The draws fill one (trials, terms, size) array in row order, so blocks
+    of about 2^16 draws read the same values: whole trials while a trial
+    fits in a block, one trial in blocks of its rows otherwise.
+    """
+    per_trial = num_terms * term_size
+    if per_trial <= _DRAW_BLOCK:
+        chunk = _DRAW_BLOCK // per_trial
+        for lo in range(0, trials, chunk):
+            draws = rng.integers(0, n, size=(min(chunk, trials - lo), num_terms, term_size))
+            yield (draws < w).all(axis=2).sum(axis=1)
+        return
+    rows = _DRAW_BLOCK // term_size
+    for _ in range(trials):
+        count = 0
+        for lo in range(0, num_terms, rows):
+            draws = rng.integers(0, n, size=(min(rows, num_terms - lo), term_size))
+            count += int(np.count_nonzero((draws < w).all(axis=1)))
+        yield np.array([count])
 
 
 # -- shared construction helpers -------------------------------------------------
@@ -392,28 +410,42 @@ class IntersectInstance:
             return 1
         return 0
 
+    def batch(self, us: np.ndarray) -> np.ndarray:
+        """:meth:`_eval` at every point of a uint64 array, as uint8."""
+        n = self.n
+        us = np.asarray(us, dtype=np.uint64)
+        full = np.uint64((1 << n) - 1)
+        one = np.uint64(1)
+        y1 = (us >> np.uint64(n)) & one
+        live = np.flatnonzero(y1 != ((us >> np.uint64(n + 1)) & one))
+        x, y1 = us[live] & full, y1[live]
+        amask = np.uint64(self.action_mask)
+        if self.kind == "one_sided_no":
+            k2 = n * math.log(1.0 / self.eps)
+            d = 2 * popcount_array(x) - n
+            e = n - 200 * popcount_array(x & amask)
+            hit = (d * d <= 400.0 * k2) & (e > 0) & (e * e > 40000.0 * k2)
+        else:
+            ell = _unique_terms(np.where(y1 == 0, x, x ^ full), self.term_masks)
+            region = _action_regions_arr(popcount_array(x & amask), self.a)
+            bl = np.array(self.b)[np.maximum(ell, 0)]
+            if self.kind == "yes":
+                hit = (bl == 1 - y1.astype(np.int64)) & (region != 0)
+            else:
+                hit = region == np.where(bl == 0, 1, -1)
+            hit &= ell >= 0
+        out = np.zeros(us.shape, dtype=np.uint8)
+        out[live] = hit
+        return out
+
     def function(self) -> BooleanFunction:
-        return BooleanFunction(self.arity, self._eval)
+        return BooleanFunction(self.arity, self._eval, self.batch)
 
     def materialize(self) -> TruthTable:
-        """Full table over 2^(n+2) points, built vectorized."""
-        n = self.n
-        if self.arity > 24:  # one_sided_no needs n >= 50, so it never gets past here
-            raise ResourceCapError("materialize is capped at arity <= 24")
-        xs = np.arange(1 << n, dtype=np.uint64)
-        regions = _action_regions_arr(popcount_array(xs & np.uint64(self.action_mask)), self.a)
-        b = np.array(self.b)
-        table = np.zeros(1 << (n + 2), dtype=np.uint8)
-        for y1, view in ((0, xs), (1, xs ^ np.uint64((1 << n) - 1))):
-            ell = _unique_terms(view, self.term_masks)
-            bl = b[np.maximum(ell, 0)]
-            if self.kind == "yes":
-                hit = (bl == 1 - y1) & (regions != 0)
-            else:
-                hit = regions == np.where(bl == 0, 1, -1)
-            start = 1 << (n + 1 - y1)  # (x, 0, 1) is 2^(n+1) + x, (x, 1, 0) is 2^n + x
-            table[start : start + (1 << n)] = (ell >= 0) & hit
-        return TruthTable.from_array(self.arity, table)
+        """Full table over 2^(n+2) points."""
+        if self.arity > MAX_TABLE_ARITY:
+            raise ResourceCapError(f"materialize is capped at arity <= {MAX_TABLE_ARITY}")
+        return TruthTable.from_array(self.arity, self.batch(np.arange(1 << self.arity, dtype=np.uint64)))
 
     def to_json_obj(self) -> dict:
         return {
@@ -555,27 +587,27 @@ class UcInstance:
             return 0
         return 1 if xa == self.r[ell] or xa == self.r[ell] ^ self.action_mask else 0
 
-    def function(self) -> BooleanFunction:
-        return BooleanFunction(self.n, self._eval)
-
-    def materialize(self) -> TruthTable:
-        if self.n > 24:
-            raise ResourceCapError("materialize is capped at arity <= 24")
-        xs = np.arange(1 << self.n, dtype=np.uint64)
+    def batch(self, xs: np.ndarray) -> np.ndarray:
+        """:meth:`_eval` at every point of a uint64 array, as uint8."""
+        xs = np.asarray(xs, dtype=np.uint64)
         ell = _unique_terms(xs, self.term_masks)
         amask = np.uint64(self.action_mask)
         xa = xs & amask
-        val = ell == -2
-        for i in range(len(self.term_masks)):
-            if self.kind == "yes":
-                hit = xa == np.uint64(self.s[i])
-            elif self.b[i] == 1:
-                r = np.uint64(self.r[i])
-                hit = (xa == r) | (xa == (r ^ amask))
-            else:
-                continue
-            val |= (ell == i) & hit
-        return TruthTable.from_array(self.n, val)
+        term = np.maximum(ell, 0)
+        if self.kind == "yes":
+            hit = xa == np.array(self.s, dtype=np.uint64)[term]
+        else:
+            r = np.array(self.r, dtype=np.uint64)[term]
+            hit = (np.array(self.b)[term] == 1) & ((xa == r) | (xa == r ^ amask))
+        return ((ell == -2) | ((ell >= 0) & hit)).astype(np.uint8)
+
+    def function(self) -> BooleanFunction:
+        return BooleanFunction(self.n, self._eval, self.batch)
+
+    def materialize(self) -> TruthTable:
+        if self.n > MAX_TABLE_ARITY:
+            raise ResourceCapError(f"materialize is capped at arity <= {MAX_TABLE_ARITY}")
+        return TruthTable.from_array(self.n, self.batch(np.arange(1 << self.n, dtype=np.uint64)))
 
     def to_json_obj(self) -> dict:
         return {

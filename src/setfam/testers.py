@@ -36,10 +36,14 @@ rejects early draws at most one chunk beyond its last iteration.
 Queries.  A run reports the queries of the iterations it ran up to and
 including the first rejecting one: 1 + |banded downset| per iteration for
 the witness testers, and 3 (2) per round for the 3-query (2-query) tester.
-The round testers evaluate a whole chunk at once, through the oracle's
-``batch`` method when it has one and point by point otherwise, so an oracle
-may see the rest of the rejecting chunk as well; those answers are not
-counted and cannot change the report.
+The witness testers evaluate a chunk in blocks of at most 2^12 points
+(``boolfn.BLOCK``): x and the banded downset of consecutive iterations
+together, or one large downset over several blocks.  The round testers
+evaluate a whole chunk at once.  Both use one call of the oracle's ``batch``
+method per block or chunk when it has one, and evaluate point by point
+otherwise, so an oracle may also see points of the iterations after the
+rejecting one in its block or chunk; those answers are not counted and
+cannot change the report.
 
 Identical (f, config) therefore reproduces identical reports byte for byte,
 and iterations stay independent given the weight batch.
@@ -57,8 +61,9 @@ import numpy as np
 from .boolfn import (
     DEFAULT_ENUMERATION_CAP,
     Band,
-    QueryCounter,
+    QueryCounter,  # noqa: F401  (benchmark/spans.py patches it here by name)
     ResourceCapError,
+    _answers,
     _batch_band_points,
     _downset_weights,
     _subsets,
@@ -66,12 +71,7 @@ from .boolfn import (
     sample_band_weights,
 )
 from .rng import stream
-from .violations import (
-    IViolatingPair,
-    TripleCertificate,
-    witness_check_int,
-    witness_check_uc,
-)
+from .violations import IViolatingPair, TripleCertificate, witness_scan
 
 __all__ = [
     "TesterConfig",
@@ -225,28 +225,20 @@ def _segments(
     return [_cursor(rng, k * rounds * n) for k in range(1, count + 1)]
 
 
-def _answers(f, points: np.ndarray) -> np.ndarray:
-    """f at each point, as uint8: one ``f.batch`` call, or one call per point."""
-    batch = getattr(f, "batch", None)
-    if batch is not None:
-        return batch(points)
-    return np.fromiter(map(f, points.tolist()), dtype=np.uint8, count=len(points))
-
-
-def _witness_tester(f, cfg: TesterConfig, witness_check) -> TesterReport:
+def _witness_tester(f, cfg: TesterConfig, uc: bool) -> TesterReport:
     n = f.arity
     band = mid_band(n, cfg.eps)
     m = _iterations(cfg)
-    counter = QueryCounter(f)
     rng = stream(cfg.seed)
     weights = _weight_chunks(n, band, m, rng)
+    queries = 0
     for (start, _), ws in zip(_chunks(m), weights):
         xs = _batch_band_points(n, ws, rng)
-        for i, x in enumerate(xs.tolist(), start + 1):
-            witness = witness_check(counter, x, band, cfg.enumeration_cap)
-            if witness is not None:
-                return TesterReport("reject", witness, counter.count, i, cfg.seed)
-    return TesterReport("accept", None, counter.count, m, cfg.seed)
+        i, witness, cost = witness_scan(f, xs, band, uc, cfg.enumeration_cap)
+        queries += cost
+        if witness is not None:
+            return TesterReport("reject", witness, queries, start + i + 1, cfg.seed)
+    return TesterReport("accept", None, queries, m, cfg.seed)
 
 
 def uc_tester(f, cfg: TesterConfig) -> TesterReport:
@@ -256,7 +248,7 @@ def uc_tester(f, cfg: TesterConfig) -> TesterReport:
     eps-far from union-closed with probability >= 9/10 over ceil(100/eps)
     iterations.  Queries per iteration: 1 + |banded downset of x|.
     """
-    return _witness_tester(f, cfg, witness_check_uc)
+    return _witness_tester(f, cfg, uc=True)
 
 
 def int_tester(f, cfg: TesterConfig) -> TesterReport:
@@ -266,7 +258,7 @@ def int_tester(f, cfg: TesterConfig) -> TesterReport:
     functions with probability >= 9/10.  Queries per iteration:
     1 + |banded downset of the complement of x|.
     """
-    return _witness_tester(f, cfg, witness_check_int)
+    return _witness_tester(f, cfg, uc=False)
 
 
 def uc_triple_tester(f, cfg: TesterConfig) -> TesterReport:

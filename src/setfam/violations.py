@@ -15,12 +15,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .boolfn import (
+    BLOCK,
     DEFAULT_ENUMERATION_CAP,
     Band,
+    EnumerationCapError,
     ResourceCapError,
     TruthTable,
-    enumerate_down_band,
+    _answers,
+    _runs,
+    down_band_blocks,
+    down_band_counts,
+    enumerate_down_band,  # noqa: F401  (benchmark/spans.py patches it here by name)
 )
 
 __all__ = [
@@ -33,6 +41,7 @@ __all__ = [
     "is_uc_violation",
     "witness_check_uc",
     "witness_check_int",
+    "witness_scan",
     "is_minimal_tuple",
     "max_disjoint_i_pairs",
     "level_matching",
@@ -162,9 +171,78 @@ def is_uc_violation(f, y1: int, y2: int) -> TripleCertificate | None:
 
 # -- banded witness checks ----------------------------------------------------
 #
-# Both checks query f(x) first and then every point of the banded downset,
-# with no early exit, so the query count is always 1 + |downset| and the
-# query set never depends on answers (non-adaptive).
+# A check queries f(x) and every point of the banded downset, with no early
+# exit, so it costs 1 + |downset| queries and its query set never depends on
+# answers (non-adaptive).
+
+
+def witness_scan(
+    f, xs: np.ndarray, band: Band, uc: bool, cap: int = DEFAULT_ENUMERATION_CAP
+) -> tuple[int, UcViolatingTuple | IViolatingPair | None, int]:
+    """The banded witness check of each point of xs in turn, up to the first witness.
+
+    uc: a tuple with end x and members in x's banded downset; otherwise a
+    pair (y, x) with y in the banded downset of x's complement.  Returns
+    (i, certificate, queries): the index of the first x with a witness and
+    that witness, or (-1, None, ...) if none has one, and the queries of
+    the checks up to and including it.  Consecutive checks are evaluated
+    together in blocks of at most BLOCK points, one oracle call per block,
+    so f may also see points of the checks that follow the first witness
+    in its block.  A check whose downset exceeds ``cap`` raises
+    EnumerationCapError, once every check before it has found nothing.
+    """
+    xs = np.asarray(xs, dtype=np.uint64)
+    roots = xs if uc else xs ^ np.uint64((1 << f.arity) - 1)
+    counts = down_band_counts(roots, band)
+    over = np.flatnonzero(counts > cap)
+    stop = int(over[0]) if over.size else len(xs)
+    costs = (counts[:stop] + np.uint64(1)).tolist()
+    for start, end in _runs(costs, BLOCK):
+        found = _witness_run(f, xs[start:end], roots[start:end], band, uc)
+        if found is not None:
+            i, cert = found
+            return start + i, cert, sum(costs[: start + i + 1])
+    if over.size:
+        raise EnumerationCapError(int(counts[stop]), cap)
+    return -1, None, sum(costs)
+
+
+def _witness_run(f, xs, roots, band, uc):
+    """(i, certificate) of the first witness among checks evaluated in one run of blocks.
+
+    The first block also carries the points xs themselves.  A pair is the
+    first 1-input below a complement whose x is a 1-input; a tuple needs
+    the union of all 1-inputs below x, so its members are kept until the
+    run ends, for the checks whose x is a 0-input.
+    """
+    m = len(xs)
+    union = np.zeros(m, dtype=np.uint64)
+    kept = []
+    fx = None
+    for owner, ys in down_band_blocks(roots, band, max(1, BLOCK - m)):
+        if fx is None:
+            answers = _answers(f, np.concatenate((xs, ys)))
+            fx, fy = answers[:m], answers[m:]
+        else:
+            fy = _answers(f, ys)
+        keep = (fy == 1) & (fx[owner] == (0 if uc else 1))
+        if not uc:
+            if keep.any():
+                j = int(keep.argmax())
+                i = int(owner[j])
+                return i, IViolatingPair(int(ys[j]), int(xs[i]))
+            continue
+        members = owner[keep], ys[keep]
+        np.bitwise_or.at(union, *members)
+        kept.append(members)
+    if not uc:
+        return None
+    bad = np.flatnonzero((fx == 0) & (union == xs) & (xs != 0))
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    members = tuple(y for owner, ys in kept for y in ys[owner == i].tolist())
+    return i, UcViolatingTuple(members, int(xs[i]))
 
 
 def witness_check_uc(
@@ -174,33 +252,20 @@ def witness_check_uc(
 
     Equivalent to searching all member subsets: the full satisfying banded
     downset is itself a candidate tuple, so it suffices to test whether its
-    union reaches x while f(x) = 0.
+    union reaches x while f(x) = 0.  The one-point case of witness_scan.
     """
-    fx = f(x)
-    members = []
-    union = 0
-    for y in enumerate_down_band(x, band, cap):
-        if f(y) == 1:
-            members.append(y)
-            union |= y
-    if fx == 0 and members and union == x:
-        return UcViolatingTuple(tuple(members), x)
-    return None
+    return witness_scan(f, np.array([x], dtype=np.uint64), band, True, cap)[1]
 
 
 def witness_check_int(
     f, x: int, band: Band, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> IViolatingPair | None:
-    """Pair (y, x) with y in the banded downset of the complement of x."""
-    fx = f(x)
-    xbar = x ^ ((1 << f.arity) - 1)
-    partner = None
-    for y in enumerate_down_band(xbar, band, cap):
-        if f(y) == 1 and partner is None:
-            partner = y
-    if fx == 1 and partner is not None:
-        return IViolatingPair(partner, x)
-    return None
+    """Pair (y, x) with y in the banded downset of the complement of x.
+
+    y is the first 1-input in that downset's enumeration order.  The
+    one-point case of witness_scan.
+    """
+    return witness_scan(f, np.array([x], dtype=np.uint64), band, False, cap)[1]
 
 
 def is_minimal_tuple(t: UcViolatingTuple) -> bool:

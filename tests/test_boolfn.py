@@ -8,15 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setfam.boolfn import (
+    BLOCK,
     Band,
+    BooleanFunction,
     EnumerationCapError,
     QueryCounter,
     TruthTable,
     band_weight_counts,
     const_function,
     dictator,
+    down_band_blocks,
     down_band_count,
+    down_band_counts,
     enumerate_down_band,
+    majority,
     mid_band,
     parse_bits,
     popcount_array,
@@ -134,6 +139,39 @@ class TestEnumerateDownBand:
             list(enumerate_down_band((1 << 10) - 1, Band(0, 10), cap=100))
         assert exc.value.predicted == 1024
 
+    def test_blocks_concatenate_to_the_itertools_order(self):
+        from itertools import combinations
+
+        def reference(x, band):
+            coords = [i for i in range(64) if x >> i & 1]
+            return [sum(1 << c for c in combo)
+                    for j in range(band.lo, min(len(coords), band.hi) + 1)
+                    for combo in combinations(coords, j)]
+
+        rng = stream(31)
+        for _ in range(40):
+            n = int(rng.integers(1, 64))
+            roots = rng.integers(0, 1 << min(n, 16), size=int(rng.integers(1, 12)), dtype=np.uint64)
+            roots <<= np.uint64(int(rng.integers(0, n - min(n, 16) + 1)))
+            lo = int(rng.integers(0, 17))
+            band = Band(lo, lo + int(rng.integers(0, 17)))
+            size = int(rng.choice([1, 7, 100, BLOCK]))
+            owners, ys = [], []
+            for owner, block in down_band_blocks(roots, band, size):
+                assert len(owner) == len(block) <= size
+                owners += owner.tolist()
+                ys += block.tolist()
+            expected = [reference(int(r), band) for r in roots]
+            assert ys == [y for part in expected for y in part]
+            assert owners == [i for i, part in enumerate(expected) for _ in part]
+            assert down_band_counts(roots, band).tolist() == [len(p) for p in expected]
+        # a downset of 2^14 - 1 points, split over four blocks
+        x = (1 << 14) - 1 << 20
+        band = Band(0, 13)
+        blocks = [b for _, b in down_band_blocks(np.array([x], dtype=np.uint64), band)]
+        assert [len(b) for b in blocks] == [BLOCK] * 3 + [2**14 - 1 - 3 * BLOCK]
+        assert list(enumerate_down_band(x, band)) == reference(x, band)
+
     @given(st.integers(0, 2**14 - 1), st.integers(0, 14), st.integers(0, 14))
     @settings(max_examples=150)
     def test_membership_and_count(self, x, lo, hi):
@@ -206,6 +244,19 @@ class TestQueryCounter:
             assert qc(x) == f(x)
         assert qc.count == 64
 
+    def test_batch_counts_each_point_once(self):
+        xs = np.arange(64, dtype=np.uint64)
+        table = TruthTable.from_array(6, stream(41).random(64) < 0.5)
+        for inner in (table, BooleanFunction(6, table)):  # with and without batch
+            qc = QueryCounter(inner)
+            got = qc.batch(xs)
+            assert got.dtype == np.uint8
+            assert got.tolist() == [table(x) for x in range(64)]
+            assert qc.count == 64
+            qc.batch(xs[:5])
+            qc(7)
+            assert qc.count == 70
+
     def test_thread_safety(self):
         import threading
 
@@ -221,6 +272,31 @@ class TestQueryCounter:
         for t in threads:
             t.join()
         assert qc.count == 80000
+
+
+class TestBuiltins:
+    @pytest.mark.parametrize("n", [1, 5, 16, 40, 63])
+    def test_batch_matches_scalar(self, n):
+        xs = stream(43, n).integers(0, 1 << n, size=500, dtype=np.uint64)
+        xs[:2] = [0, (1 << n) - 1]
+        fs = [const_function(n, 0), const_function(n, 1), majority(n),
+              dictator(n, 1), dictator(n, n)]
+        for f in fs:
+            got = f.batch(xs)
+            assert got.dtype == np.uint8
+            assert got.tolist() == [f(x) for x in xs.tolist()]
+
+    def test_from_callable_uses_batch(self):
+        calls = []
+
+        def batch(xs):
+            calls.append(len(xs))
+            return majority(14).batch(xs)
+
+        f = BooleanFunction(14, lambda x: 1 / 0, batch)
+        table = TruthTable.from_callable(f)
+        assert table == TruthTable.from_callable(BooleanFunction(14, majority(14)))
+        assert sum(calls) == 1 << 14 and max(calls) <= BLOCK
 
 
 class TestTruthTableFormats:

@@ -200,6 +200,33 @@ class TestTestCommand:
         assert all(row.rsplit(",", 1)[1] != "" for row in rows)
 
 
+class TestRepeatedMain:
+    def test_repeated_calls_match_fresh_processes(self, capsys):
+        # the parser is built once per process; no option value may carry
+        # over from one call to the next
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        test = ["test", "--alg", "uc", "--fn", "majority", "--n", "8", "--eps", "0.5",
+                "--trials", "2", "--seed", "3"]
+        calls = [test + ["--max-iterations", "5"], test,
+                 ["dist", "--prop", "int", "--fn", "const1", "--n", "2"],
+                 test + ["--max-iterations", "5"]]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        outputs = []
+        for argv in calls:
+            assert main(argv) == 0
+            got = capsys.readouterr().out
+            fresh = subprocess.run([sys.executable, "-m", "setfam", *argv], env=env,
+                                   capture_output=True, check=True).stdout.decode()
+            assert got == fresh
+            outputs.append(got)
+        assert outputs[0] == outputs[3] != outputs[1]
+        assert "max_iterations=None" in outputs[1]
+
+
 class TestDistCommand:
     def test_int_const1_n2(self, tmp_path):
         raw = run_cli(["dist", "--prop", "int", "--fn", "const1", "--n", "2"], tmp_path)

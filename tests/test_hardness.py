@@ -119,6 +119,29 @@ class TestUniqueSat:
         assert res.trials == 20000 and 0.0 < res.pooled[0] < 1.0
         assert peak < 8 * 2**20, peak
 
+    def test_memory_is_bounded_when_one_trial_exceeds_a_block(self):
+        # one trial at n=400, eps=1 is 104,857 terms x 20 draws: 16 MiB of int64
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            res = unique_sat_probability(400, 1.0, 2, stream(17))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.trials == 2 and len(res.per_weight) == 2
+        assert peak < 8 * 2**20, peak
+
+    def test_trial_rows_drawn_in_blocks_read_the_whole_trial_draw(self):
+        from setfam.hardness import _sat_counts
+
+        size, terms = talagrand_params(400, 1.0)
+        got = np.concatenate(list(_sat_counts(stream(5), 400, 300, 2, terms, size)))
+        rng = stream(5)
+        whole = [int((rng.integers(0, 400, size=(terms, size)) < 300).all(axis=1).sum())
+                 for _ in range(2)]
+        assert got.tolist() == whole and min(whole) > 0
+
     def test_wilson_sanity(self):
         lo, hi = wilson_interval(900, 1000)
         assert 0.85 < lo < 0.9 < hi < 0.93
@@ -472,6 +495,27 @@ class TestBadEvent:
         p = BadEventParams((x, x ^ 1), "uc", 4000)
         est = estimate_bad_probability(p, 13, 0.5, 3)
         assert abs(est.estimate - 1 / 13) < 4 * math.sqrt((1 / 13) * (12 / 13) / 4000)
+
+
+class TestInstanceBatch:
+    @pytest.mark.parametrize("kind,n,eps,seed", [
+        ("int-yes", 9, 0.5, 1), ("int-no", 9, 0.5, 2), ("int-yes", 16, 0.5, 3),
+        ("int-no", 14, 0.5, 4), ("int-one-sided-no", 61, 0.5, 6),
+        ("uc-yes", 13, 0.5, 3), ("uc-no", 13, 0.5, 5), ("uc-yes", 21, 0.25, 5),
+        ("uc-no", 21, 0.5, 7),
+    ])
+    def test_batch_matches_scalar(self, kind, n, eps, seed):
+        # every point up to arity 16, fixed random points above
+        inst = load_instance({"kind": kind, "n": n, "eps": eps, "seed": seed})
+        arity = inst.arity
+        if arity <= 16:
+            xs = np.arange(1 << arity, dtype=np.uint64)
+        else:
+            xs = stream(59, arity).integers(0, 1 << arity, size=4000, dtype=np.uint64)
+        got = inst.function().batch(xs)
+        assert got.dtype == np.uint8
+        assert got.tolist() == [inst._eval(x) for x in xs.tolist()]
+        assert 0 < got.sum() < len(xs) or arity > 16
 
 
 class TestInstanceDeterminism:

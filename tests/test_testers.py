@@ -261,8 +261,8 @@ class TestChunkedRounds:
 
     @pytest.mark.parametrize("n", [2, 4, 7])
     def test_point_oracle_gives_the_batch_oracle_report(self, n):
-        # BooleanFunction has no batch method, so the testers evaluate it
-        # point by point; the reports must not depend on that
+        # a BooleanFunction made without batch is evaluated point by point;
+        # the reports must not depend on that
         from setfam.boolfn import BooleanFunction
 
         rng = stream(77, n)
@@ -273,6 +273,77 @@ class TestChunkedRounds:
             for alg in (uc_tester, int_tester, uc_triple_tester, int_pair_tester):
                 cfg = TesterConfig(eps=0.5, seed=k, max_iterations=300)
                 assert alg(point, cfg).to_json() == alg(table, cfg).to_json()
+
+
+class TestWitnessBlocks:
+    class Recording:
+        """Oracle that records the size of every batch call."""
+
+        def __init__(self, f):
+            self.arity, self.f, self.calls = f.arity, f, []
+
+        def __call__(self, x):
+            raise AssertionError("the witness testers evaluate through batch")
+
+        def batch(self, xs):
+            self.calls.append(len(xs))
+            return self.f.batch(xs)
+
+    def test_early_reject_evaluates_one_block_not_its_chunk(self):
+        from setfam.boolfn import BLOCK, const_function
+
+        f = self.Recording(const_function(16, 1))
+        rep = int_tester(f, TesterConfig(eps=0.25, seed=4, max_iterations=64))
+        assert rep.verdict == "reject" and rep.iterations_run == 1
+        assert len(f.calls) == 1 and f.calls[0] <= BLOCK
+        # the whole chunk would have been several blocks
+        chunk = int_tester(const_function(16, 0),
+                           TesterConfig(eps=0.25, seed=4, max_iterations=64))
+        assert chunk.queries > 2 * BLOCK
+
+    def test_reject_before_an_over_cap_iteration_still_rejects(self):
+        from setfam.boolfn import ResourceCapError, _batch_band_points, const_function
+
+        n, eps, m = 12, 0.5, 64
+        band = mid_band(n, eps)
+        for seed in range(100):
+            rng = stream(seed)
+            xs = _batch_band_points(n, sample_band_weights(n, band, rng, m), rng)
+            sizes = [down_band_count(int(x) ^ (1 << n) - 1, band) for x in xs]
+            if sizes[0] < max(sizes[1:]):
+                break
+        assert sizes[0] < max(sizes[1:])
+        cfg = TesterConfig(eps=eps, seed=seed, max_iterations=m, enumeration_cap=sizes[0])
+        rep = int_tester(const_function(n, 1), cfg)
+        assert rep.verdict == "reject" and rep.iterations_run == 1
+        assert rep.queries == 1 + sizes[0]
+        with pytest.raises(ResourceCapError):
+            int_tester(const_function(n, 0), cfg)
+
+    def test_a_million_point_downset_stays_in_bounded_memory(self):
+        import tracemalloc
+
+        from setfam.boolfn import const_function
+
+        cfg = TesterConfig(eps=0.5, seed=2, max_iterations=1)
+        rng = stream(2)
+        band = mid_band(40, 0.5)
+        x = int(_batch_band_points_of(40, band, rng))
+        tracemalloc.start()
+        try:
+            rep = uc_tester(const_function(40, 0), cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert down_band_count(x, band) > 5 * 10**5
+        assert rep.verdict == "accept" and rep.queries == 1 + down_band_count(x, band)
+        assert peak < 16 * 2**20, peak
+
+
+def _batch_band_points_of(n, band, rng):
+    from setfam.boolfn import _batch_band_points
+
+    return _batch_band_points(n, sample_band_weights(n, band, rng, 1), rng)[0]
 
 
 class TestCertificateReverification:
