@@ -300,8 +300,10 @@ class TruthTable:
     def batch(self, xs: np.ndarray) -> np.ndarray:
         """Values at an array of points, as uint8; caches nothing on the table."""
         xs = np.asarray(xs, dtype=np.uint64)
-        packed = self._packed()
-        return (packed[xs >> np.uint64(3)] >> (xs & np.uint64(7)).astype(np.uint8)) & 1
+        out = self._packed()[xs >> np.uint64(3)]
+        out >>= (xs & np.uint64(7)).astype(np.uint8)
+        out &= 1
+        return out
 
     def __eq__(self, other) -> bool:
         return (
@@ -517,22 +519,22 @@ def _scatter(patterns: np.ndarray, roots: np.ndarray, owner: np.ndarray) -> np.n
     for b in range(0, int(roots.max()).bit_length(), 8):
         byte = ((roots >> np.uint64(b)) & np.uint64(0xFF)).astype(np.intp)
         low = ((patterns >> used[owner]) & np.uint64(0xFF)).astype(np.intp)
-        out |= _DEPOSIT8[(byte << 8)[owner] | low] << np.uint64(b)
+        out |= _DEPOSIT8[(byte << 8)[owner] | low].astype(np.uint64) << np.uint64(b)
         used += _POP8[byte]
     return out
 
 
 def _deposit_table() -> tuple[np.ndarray, np.ndarray]:
     """(deposit, pop): deposit[256 r + p] puts the low bits of p on the set bits of r; pop[r] = |r|."""
-    r = np.arange(256, dtype=np.uint64)[:, None]
-    p = np.arange(256, dtype=np.uint64)[None, :]
-    deposit = np.zeros((256, 256), dtype=np.uint64)
-    used = np.zeros((256, 1), dtype=np.uint64)
+    r = np.arange(256, dtype=np.uint8)[:, None]
+    p = np.arange(256, dtype=np.uint8)[None, :]
+    deposit = np.zeros((256, 256), dtype=np.uint8)
+    used = np.zeros((256, 1), dtype=np.uint8)
     for i in range(8):
-        bit = (r >> np.uint64(i)) & np.uint64(1)
-        deposit |= ((p >> used) & bit) << np.uint64(i)
+        bit = (r >> i) & 1
+        deposit |= ((p >> used) & bit) << i
         used += bit
-    return deposit.ravel(), used.ravel()
+    return deposit.ravel(), used.ravel().astype(np.uint64)
 
 
 _DEPOSIT8, _POP8 = _deposit_table()
@@ -555,34 +557,47 @@ def _rechunk(arrays: Iterator[np.ndarray], size: int) -> Iterator[np.ndarray]:
         yield np.concatenate(held)
 
 
-@lru_cache(maxsize=None)
-def _combinations(m: int, j: int) -> np.ndarray:
-    """The j-subsets of range(m) as bit masks, in itertools.combinations order.
+#: Subsets of [m] get one cached table per m up to this, 2^m points each.
+_TABLE_BITS = BLOCK.bit_length() - 1
 
-    The subsets holding 0 come first, then the rest; each part is the
-    (j-1)- or j-subsets of range(1, m) in the same order.  Only built for
-    C(m, j) <= BLOCK.
+
+def _subset_tables() -> list[tuple[np.ndarray, list[int]]]:
+    """Per m <= _TABLE_BITS: (table, starts), all subsets of range(m) as bit masks.
+
+    table[starts[j]:starts[j + 1]] lists the j-subsets in
+    itertools.combinations order: those holding 0 first, then the rest,
+    each part being the (j-1)- or j-subsets of range(1, m) in that order.
     """
-    if j == 0:
-        out = np.zeros(1, dtype=np.uint64)
-    elif j > m:
-        out = np.zeros(0, dtype=np.uint64)
-    else:
-        one = np.uint64(1)
-        out = np.concatenate((_combinations(m - 1, j - 1) << one | one,
-                              _combinations(m - 1, j) << one))
-    out.flags.writeable = False  # shared by every caller
-    return out
+    one = np.uint64(1)
+    by_size = [np.zeros(1, dtype=np.uint64)]  # range(0): the empty set
+    tables = []
+    for m in range(_TABLE_BITS + 1):
+        if m:
+            empty = np.zeros(0, dtype=np.uint64)
+            by_size = [np.concatenate((by_size[j - 1] << one | one if j else empty,
+                                       by_size[j] << one if j < m else empty))
+                       for j in range(m + 1)]
+        table = np.concatenate(by_size)
+        table.flags.writeable = False  # shared by every caller
+        tables.append((table, [0, *np.cumsum([len(t) for t in by_size]).tolist()]))
+    return tables
+
+
+_SUBSETS = _subset_tables()
 
 
 def _combination_pieces(m: int, j: int) -> Iterator[tuple[int, int, np.ndarray]]:
     """The j-subsets of range(m) in order, as pieces (prefix, shift, table).
 
-    A piece stands for prefix | table << shift, with a cached table of at
-    most BLOCK subsets; the split follows :func:`_combinations`.
+    A piece stands for prefix | table << shift, with table a slice of a
+    cached subset table; above _TABLE_BITS the split follows the order:
+    the subsets holding 0, then the rest.
     """
-    if math.comb(m, j) <= BLOCK:
-        yield 0, 0, _combinations(m, j)
+    if not 0 <= j <= m:
+        return
+    if m <= _TABLE_BITS:
+        table, starts = _SUBSETS[m]
+        yield 0, 0, table[starts[j]:starts[j + 1]]
         return
     for prefix, shift, table in _combination_pieces(m - 1, j - 1):
         yield 1 | prefix << 1, shift + 1, table

@@ -127,6 +127,18 @@ def _unique_terms(xs: np.ndarray, terms: tuple[int, ...]) -> np.ndarray:
     return ell
 
 
+def _padded(a: np.ndarray) -> np.ndarray:
+    """a extended with copies of its last entry to a multiple of 128 entries.
+
+    The instances' vector evaluation makes a dozen temporary arrays of its
+    input's length.  numpy keeps freed buffers under 1 KiB for reuse by
+    exact size, so inputs of every length up to 1,023 would each leave
+    several behind (about 1.5 MB in all); rounded lengths leave a few sizes.
+    """
+    extra = -len(a) % 128
+    return np.concatenate((a, np.repeat(a[-1:], extra))) if extra and len(a) else a
+
+
 @dataclass(frozen=True)
 class TalagrandDnf:
     """Ordered monotone terms over [n], stored as dedupped coordinate masks."""
@@ -413,11 +425,12 @@ class IntersectInstance:
     def batch(self, us: np.ndarray) -> np.ndarray:
         """:meth:`_eval` at every point of a uint64 array, as uint8."""
         n = self.n
-        us = np.asarray(us, dtype=np.uint64)
+        size = len(us)
+        us = _padded(np.asarray(us, dtype=np.uint64))
         full = np.uint64((1 << n) - 1)
         one = np.uint64(1)
         y1 = (us >> np.uint64(n)) & one
-        live = np.flatnonzero(y1 != ((us >> np.uint64(n + 1)) & one))
+        live = _padded(np.flatnonzero(y1 != ((us >> np.uint64(n + 1)) & one)))
         x, y1 = us[live] & full, y1[live]
         amask = np.uint64(self.action_mask)
         if self.kind == "one_sided_no":
@@ -426,17 +439,22 @@ class IntersectInstance:
             e = n - 200 * popcount_array(x & amask)
             hit = (d * d <= 400.0 * k2) & (e > 0) & (e * e > 40000.0 * k2)
         else:
-            ell = _unique_terms(np.where(y1 == 0, x, x ^ full), self.term_masks)
+            # per-term tables indexed by ell + 2; entries 0 and 1 (no unique
+            # term) hold 2, which no selector bit or region equals
+            term = _unique_terms(np.where(y1 == 0, x, x ^ full), self.term_masks) + 2
             region = _action_regions_arr(popcount_array(x & amask), self.a)
-            bl = np.array(self.b)[np.maximum(ell, 0)]
             if self.kind == "yes":
-                hit = (bl == 1 - y1.astype(np.int64)) & (region != 0)
+                # active on the (x, 0, 1) side when b=1 and the (x, 1, 0) side
+                # when b=0, outside the middle action band
+                side = np.array([2, 2, *(1 - bl for bl in self.b)], dtype=np.uint64)
+                hit = (y1 == side[term]) & (region != 0)
             else:
-                hit = region == np.where(bl == 0, 1, -1)
-            hit &= ell >= 0
-        out = np.zeros(us.shape, dtype=np.uint8)
+                # the top action region when b=0, the bottom when b=1
+                want = np.array([2, 2, *(1 if bl == 0 else -1 for bl in self.b)], dtype=np.int8)
+                hit = region == want[term]
+        out = np.zeros(len(us), dtype=np.uint8)
         out[live] = hit
-        return out
+        return out[:size]
 
     def function(self) -> BooleanFunction:
         return BooleanFunction(self.arity, self._eval, self.batch)
@@ -589,17 +607,22 @@ class UcInstance:
 
     def batch(self, xs: np.ndarray) -> np.ndarray:
         """:meth:`_eval` at every point of a uint64 array, as uint8."""
-        xs = np.asarray(xs, dtype=np.uint64)
+        size = len(xs)
+        xs = _padded(np.asarray(xs, dtype=np.uint64))
         ell = _unique_terms(xs, self.term_masks)
         amask = np.uint64(self.action_mask)
         xa = xs & amask
-        term = np.maximum(ell, 0)
-        if self.kind == "yes":
-            hit = xa == np.array(self.s, dtype=np.uint64)[term]
-        else:
-            r = np.array(self.r, dtype=np.uint64)[term]
-            hit = (np.array(self.b)[term] == 1) & ((xa == r) | (xa == r ^ amask))
-        return ((ell == -2) | ((ell >= 0) & hit)).astype(np.uint8)
+        out = ell == -2
+        for i in range(len(self.term_masks)):
+            if self.kind == "yes":
+                hit = xa == np.uint64(self.s[i])
+            elif self.b[i] == 1:
+                r = np.uint64(self.r[i])
+                hit = (xa == r) | (xa == r ^ amask)
+            else:
+                continue
+            out |= (ell == i) & hit
+        return out.astype(np.uint8)[:size]
 
     def function(self) -> BooleanFunction:
         return BooleanFunction(self.n, self._eval, self.batch)

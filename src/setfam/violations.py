@@ -225,7 +225,7 @@ def _witness_run(f, xs, roots, band, uc):
             fx, fy = answers[:m], answers[m:]
         else:
             fy = _answers(f, ys)
-        keep = (fy == 1) & (fx[owner] == (0 if uc else 1))
+        keep = fy > fx[owner] if uc else np.logical_and(fy, fx[owner])
         if not uc:
             if keep.any():
                 j = int(keep.argmax())
