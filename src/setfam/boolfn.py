@@ -514,16 +514,18 @@ def _scatter(patterns: np.ndarray, roots: np.ndarray, owner: np.ndarray) -> np.n
     A byte of roots at a time: the byte's set bits take the next pattern
     bits, through a table of all (byte, pattern byte) pairs.
     """
+    deposit, pop = _deposit_table()
     out = np.zeros(len(patterns), dtype=np.uint64)
     used = np.zeros(len(roots), dtype=np.uint64)  # pattern bits taken by lower bytes
     for b in range(0, int(roots.max()).bit_length(), 8):
         byte = ((roots >> np.uint64(b)) & np.uint64(0xFF)).astype(np.intp)
         low = ((patterns >> used[owner]) & np.uint64(0xFF)).astype(np.intp)
-        out |= _DEPOSIT8[(byte << 8)[owner] | low].astype(np.uint64) << np.uint64(b)
-        used += _POP8[byte]
+        out |= deposit[(byte << 8)[owner] | low].astype(np.uint64) << np.uint64(b)
+        used += pop[byte]
     return out
 
 
+@lru_cache(maxsize=1)
 def _deposit_table() -> tuple[np.ndarray, np.ndarray]:
     """(deposit, pop): deposit[256 r + p] puts the low bits of p on the set bits of r; pop[r] = |r|."""
     r = np.arange(256, dtype=np.uint8)[:, None]
@@ -535,9 +537,6 @@ def _deposit_table() -> tuple[np.ndarray, np.ndarray]:
         deposit |= ((p >> used) & bit) << i
         used += bit
     return deposit.ravel(), used.ravel().astype(np.uint64)
-
-
-_DEPOSIT8, _POP8 = _deposit_table()
 
 
 def _rechunk(arrays: Iterator[np.ndarray], size: int) -> Iterator[np.ndarray]:
@@ -561,29 +560,29 @@ def _rechunk(arrays: Iterator[np.ndarray], size: int) -> Iterator[np.ndarray]:
 _TABLE_BITS = BLOCK.bit_length() - 1
 
 
-def _subset_tables() -> list[tuple[np.ndarray, list[int]]]:
-    """Per m <= _TABLE_BITS: (table, starts), all subsets of range(m) as bit masks.
+@lru_cache(maxsize=None)
+def _subset_table(m: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """(table, starts): all subsets of range(m) as bit masks, m <= _TABLE_BITS.
 
     table[starts[j]:starts[j + 1]] lists the j-subsets in
     itertools.combinations order: those holding 0 first, then the rest,
     each part being the (j-1)- or j-subsets of range(1, m) in that order.
     """
-    one = np.uint64(1)
-    by_size = [np.zeros(1, dtype=np.uint64)]  # range(0): the empty set
-    tables = []
-    for m in range(_TABLE_BITS + 1):
-        if m:
-            empty = np.zeros(0, dtype=np.uint64)
-            by_size = [np.concatenate((by_size[j - 1] << one | one if j else empty,
-                                       by_size[j] << one if j < m else empty))
-                       for j in range(m + 1)]
-        table = np.concatenate(by_size)
-        table.flags.writeable = False  # shared by every caller
-        tables.append((table, [0, *np.cumsum([len(t) for t in by_size]).tolist()]))
-    return tables
-
-
-_SUBSETS = _subset_tables()
+    if m == 0:
+        table = np.zeros(1, dtype=np.uint64)
+    else:
+        prev, cut = _subset_table(m - 1)
+        one = np.uint64(1)
+        parts = []
+        for j in range(m + 1):
+            if j:
+                parts.append(prev[cut[j - 1]:cut[j]] << one | one)
+            if j < m:
+                parts.append(prev[cut[j]:cut[j + 1]] << one)
+        table = np.concatenate(parts)
+    table.flags.writeable = False  # shared by every caller
+    starts = (0, *np.cumsum([math.comb(m, j) for j in range(m + 1)]).tolist())
+    return table, starts
 
 
 def _combination_pieces(m: int, j: int) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -596,7 +595,7 @@ def _combination_pieces(m: int, j: int) -> Iterator[tuple[int, int, np.ndarray]]
     if not 0 <= j <= m:
         return
     if m <= _TABLE_BITS:
-        table, starts = _SUBSETS[m]
+        table, starts = _subset_table(m)
         yield 0, 0, table[starts[j]:starts[j + 1]]
         return
     for prefix, shift, table in _combination_pieces(m - 1, j - 1):

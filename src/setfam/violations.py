@@ -171,9 +171,9 @@ def is_uc_violation(f, y1: int, y2: int) -> TripleCertificate | None:
 
 # -- banded witness checks ----------------------------------------------------
 #
-# A check queries f(x) and every point of the banded downset, with no early
-# exit, so it costs 1 + |downset| queries and its query set never depends on
-# answers (non-adaptive).
+# A check's query set is x and every point of its banded downset, whatever
+# the answers (non-adaptive), so it counts 1 + |downset| queries.  Evaluation
+# may stop inside that set once a witness is certain; no report changes.
 
 
 def witness_scan(
@@ -237,6 +237,7 @@ def _witness_run(f, xs, roots, band, uc):
         kept.append(members)
     if not uc:
         return None
+    # x = 0 is only below itself, so as a 0-input it has no members
     bad = np.flatnonzero((fx == 0) & (union == xs) & (xs != 0))
     if not bad.size:
         return None
