@@ -473,10 +473,13 @@ def down_band_blocks(
     if not 1 <= size <= BLOCK:
         raise ValueError(f"block size must lie in [1, {BLOCK}]")
     roots = np.asarray(roots, dtype=np.uint64)
+    if not len(roots):
+        return
     weights = popcount_array(roots)
     totals, _ = _downset_classes(MAX_DENSE_ARITY, band)
     counts = totals[weights].tolist()
-    patterns, offsets = _pattern_store(band)
+    fits = int(np.searchsorted(totals, BLOCK, side="right"))  # weights whose downset fits
+    patterns, offsets = _pattern_store(band, min(fits - 1, int(weights.max()) | 7))
     for start, stop in _runs(counts, size):
         if counts[start] > size:  # one root, split into blocks
             one = np.zeros(size, dtype=np.intp)
@@ -612,19 +615,17 @@ def _combination_blocks(w: int, band: Band) -> Iterator[np.ndarray]:
 
 
 @lru_cache(maxsize=64)
-def _pattern_store(band: Band) -> tuple[np.ndarray, np.ndarray]:
-    """(patterns, offsets): the banded downsets of 2^w - 1 that fit in BLOCK points.
+def _pattern_store(band: Band, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """(patterns, offsets): the banded downsets of 2^w - 1 for w = 0..top.
 
-    The downset for weight w starts at patterns[offsets[w]]; downset sizes
-    grow with w, so the store holds w = 0, 1, ... up to the last that fits.
-    For a middle-layers band that is about 2 * BLOCK patterns in all.
+    The downset for weight w starts at patterns[offsets[w]].  Callers keep
+    each downset within BLOCK points and round top up to 8k - 1, so a band
+    has a store or two, of a few BLOCKs at most.
     """
-    totals, _ = _downset_classes(MAX_DENSE_ARITY, band)
-    fits = int(np.searchsorted(totals, BLOCK, side="right"))
     tables = [np.concatenate([np.zeros(0, dtype=np.uint64), *_combination_blocks(w, band)])
-              for w in range(fits)]
+              for w in range(top + 1)]
     offsets = np.zeros(MAX_DENSE_ARITY + 2, dtype=np.intp)
-    offsets[1:fits + 1] = np.cumsum([len(t) for t in tables])
+    offsets[1:top + 2] = np.cumsum([len(t) for t in tables])
     patterns = np.concatenate([np.zeros(0, dtype=np.uint64), *tables])
     patterns.flags.writeable = offsets.flags.writeable = False
     return patterns, offsets
