@@ -156,12 +156,14 @@ def resolve_function(spec: str, n: int | None):
 GEN_KINDS = ("talagrand", "int-yes", "int-no", "int-one-sided-no", "uc-yes", "uc-no")
 
 
-def _verify_instance(inst) -> dict:
+def _verify_instance(inst, table: TruthTable | None = None) -> dict:
+    """The instance's exact check; ``table`` is its materialization, if already built."""
     kind = inst.to_json_obj()["kind"]
     out: dict = {"kind": kind}
     if kind in ("int-yes", "uc-yes"):
         if inst.arity <= 20:
-            table = inst.materialize()
+            if table is None:
+                table = inst.materialize()
             if kind == "int-yes":
                 out["intersecting"] = is_intersecting(table)
             else:
@@ -201,9 +203,11 @@ def cmd_gen(args) -> int:
         inst = build_int_instance(args.kind[4:].replace("-", "_"), args.n, args.eps, args.seed)
     else:
         inst = build_uc_instance(args.kind[3:], args.n, args.eps, args.seed)
+    table = None
     if args.table:
-        inst.materialize().save(args.table)
-    report = {"instance": inst.to_json_obj(), "verification": _verify_instance(inst)}
+        table = inst.materialize()
+        table.save(args.table)
+    report = {"instance": inst.to_json_obj(), "verification": _verify_instance(inst, table)}
     _emit(args, json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
     return 0
 

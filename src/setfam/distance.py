@@ -10,9 +10,12 @@ graph on 1-inputs (0^n, carrying a self-loop, is forced into every cover).
 dist to union-closed has no such structure; it is computed by exhaustion over
 all union-closed tables, which caps it at n <= 4.
 
-Dense property checks use subset-sum (zeta) counting transforms: with
-Z[m] = #{1-inputs inside m}, Moebius inversion of Z^2 counts, for every z,
-the ordered 1-input pairs with union exactly z.
+Dense property checks use one subset-OR transform over the whole cube
+(``violations.witness_table`` with the band [0, n]): U[z], the union of the
+1-inputs inside z, is z exactly when z is a union of 1-inputs, so a 0-input
+with U[z] = z breaks union-closedness and the closure is the 1-inputs plus
+those points; a 1-input inside the complement of a 1-input breaks
+intersectingness.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .violations import (
     _disjointness_graph,
     _strip_isolated,
     max_disjoint_i_pairs,
+    witness_table,
 )
 
 __all__ = [
@@ -67,31 +71,7 @@ class DistanceResult:
         return obj
 
 
-# -- subset-sum transforms -----------------------------------------------------
-
-
-def _zeta(values: np.ndarray, n: int) -> np.ndarray:
-    out = values.astype(np.int64).copy()
-    for i in range(n):
-        step = 1 << i
-        v = out.reshape(-1, 2 * step)
-        v[:, step:] += v[:, :step]
-    return out
-
-
-def _pair_union_counts_arr(values: np.ndarray, n: int) -> np.ndarray:
-    """counts[z] = #ordered pairs (x, y) of 1-inputs with x | y == z."""
-    z = _zeta(values, n)
-    sq = z * z
-    for i in range(n):
-        step = 1 << i
-        v = sq.reshape(-1, 2 * step)
-        v[:, step:] -= v[:, :step]
-    return sq
-
-
-def _pair_union_counts(f: TruthTable) -> np.ndarray:
-    return _pair_union_counts_arr(f.as_array(), f.arity)
+# -- property checks ------------------------------------------------------------
 
 
 def _prefer_dense(n: int, k: int) -> bool:
@@ -104,16 +84,13 @@ def _check_table_arity(f: TruthTable, cap: int) -> None:
         raise ResourceCapError(f"operation capped at n <= {cap}, got n = {f.arity}")
 
 
-# -- property checks ------------------------------------------------------------
-
-
 def is_union_closed(f: TruthTable) -> bool:
     """No pair of 1-inputs whose union is a 0-input (pairwise closure suffices)."""
     _check_table_arity(f, 24)
+    if _prefer_dense(f.arity, f.count_ones()):
+        # a 0-input that is the union of the 1-inputs below it
+        return not witness_table(f, Band(0, f.arity), True).any()
     ones = f.ones()
-    if _prefer_dense(f.arity, len(ones)):
-        counts = _pair_union_counts(f)
-        return not bool(np.any((counts > 0) & (f.as_array() == 0)))
     bits = f.bits
     for i, u in enumerate(ones):
         for v in ones[i:]:
@@ -125,15 +102,14 @@ def is_union_closed(f: TruthTable) -> bool:
 def is_intersecting(f: TruthTable) -> bool:
     """All pairs of 1-inputs intersect; the diagonal rule bans 0^n."""
     _check_table_arity(f, 24)
-    ones = f.ones()
-    if not ones:
+    if not f.bits:
         return True
-    if ones[0] == 0:
+    if f(0):
         return False
-    if _prefer_dense(f.arity, len(ones)):
-        z = _zeta(f.as_array(), f.arity)
+    if _prefer_dense(f.arity, f.count_ones()):
         # 1-input below the complement of a 1-input <=> disjoint pair
-        return not bool(np.any((f.as_array() == 1) & (z[::-1] > 0)))
+        return not witness_table(f, Band(0, f.arity), False).any()
+    ones = f.ones()
     for i, u in enumerate(ones):
         for v in ones[i:]:
             if u & v == 0:
@@ -243,25 +219,13 @@ def dist_int_exact(f: TruthTable, max_ones: int = 30) -> DistanceResult:
 def _all_union_closed_masks(n: int) -> np.ndarray:
     """All union-closed tables at arity n, ascending, as function bitmasks."""
     size = 1 << n
-    out = []
-    for mask in range(1 << size):
-        ok = True
-        m = mask
-        ones = []
-        while m:
-            low = m & -m
-            ones.append(low.bit_length() - 1)
-            m ^= low
-        for i, u in enumerate(ones):
-            for v in ones[i:]:
-                if not (mask >> (u | v)) & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(mask)
-    return np.array(out, dtype=np.uint32)
+    masks = np.arange(1 << size, dtype=np.uint32)
+    for u in range(size):
+        for v in range(u + 1, size):
+            w = u | v
+            if w != u and w != v:  # a comparable pair's union is one of the pair
+                masks = masks[((masks >> u) & (masks >> v) & ~(masks >> w) & 1) == 0]
+    return masks
 
 
 def dist_uc_exact(f: TruthTable) -> DistanceResult:
@@ -285,16 +249,11 @@ def dist_uc_exact(f: TruthTable) -> DistanceResult:
 def union_closure_ones(f: TruthTable) -> set[int]:
     """All unions of nonempty subsets of f's 1-inputs."""
     _check_table_arity(f, 20)
+    if _prefer_dense(f.arity, f.count_ones()):
+        # the 1-inputs and the 0-inputs that are the union of the 1-inputs below them
+        closed = witness_table(f, Band(0, f.arity), True) | (f.as_array() != 0)
+        return set(np.flatnonzero(closed).tolist())
     ones = f.ones()
-    if _prefer_dense(f.arity, len(ones)):
-        arr = f.as_array().astype(np.int64)
-        while True:
-            counts = _pair_union_counts_arr(arr, f.arity)
-            grown = ((counts > 0) | (arr > 0)).astype(np.int64)
-            if np.array_equal(grown, arr):
-                break
-            arr = grown
-        return {int(p) for p in np.nonzero(arr)[0]}
     closed = set(ones)
     queue = list(ones)
     while queue:

@@ -43,7 +43,10 @@ evaluate a whole chunk at once.  Both use one call of the oracle's ``batch``
 method per block or chunk when it has one, and evaluate point by point
 otherwise, so an oracle may also see points of the iterations after the
 rejecting one in its block or chunk; those answers are not counted and
-cannot change the report.
+cannot change the report.  A ``TruthTable`` of at most 2^12 points is read
+whole once per run instead: ``violations.witness_table`` marks every point
+whose check finds a witness, and only the rejecting iteration's check is
+evaluated, for its certificate.  The reported queries stay those above.
 
 Identical (f, config) therefore reproduces identical reports byte for byte,
 and iterations stay independent given the weight batch.
@@ -59,10 +62,12 @@ from typing import Iterator
 import numpy as np
 
 from .boolfn import (
+    BLOCK,
     DEFAULT_ENUMERATION_CAP,
     Band,
     QueryCounter,  # noqa: F401  (benchmark/spans.py patches it here by name)
     ResourceCapError,
+    TruthTable,
     _answers,
     _batch_band_points,
     _downset_weights,
@@ -71,7 +76,7 @@ from .boolfn import (
     sample_band_weights,
 )
 from .rng import stream
-from .violations import IViolatingPair, TripleCertificate, witness_scan
+from .violations import IViolatingPair, TripleCertificate, witness_scan, witness_table
 
 __all__ = [
     "TesterConfig",
@@ -231,10 +236,13 @@ def _witness_tester(f, cfg: TesterConfig, uc: bool) -> TesterReport:
     m = _iterations(cfg)
     rng = stream(cfg.seed)
     weights = _weight_chunks(n, band, m, rng)
+    # a small table answers every check at once; larger ones enumerate
+    small = isinstance(f, TruthTable) and 1 << n <= BLOCK
+    table = witness_table(f, band, uc) if small else None
     queries = 0
     for (start, _), ws in zip(_chunks(m), weights):
         xs = _batch_band_points(n, ws, rng)
-        i, witness, cost = witness_scan(f, xs, band, uc, cfg.enumeration_cap)
+        i, witness, cost = witness_scan(f, xs, band, uc, cfg.enumeration_cap, table)
         queries += cost
         if witness is not None:
             return TesterReport("reject", witness, queries, start + i + 1, cfg.seed)

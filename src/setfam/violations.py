@@ -42,6 +42,7 @@ __all__ = [
     "witness_check_uc",
     "witness_check_int",
     "witness_scan",
+    "witness_table",
     "is_minimal_tuple",
     "max_disjoint_i_pairs",
     "level_matching",
@@ -177,7 +178,8 @@ def is_uc_violation(f, y1: int, y2: int) -> TripleCertificate | None:
 
 
 def witness_scan(
-    f, xs: np.ndarray, band: Band, uc: bool, cap: int = DEFAULT_ENUMERATION_CAP
+    f, xs: np.ndarray, band: Band, uc: bool, cap: int = DEFAULT_ENUMERATION_CAP,
+    table: np.ndarray | None = None,
 ) -> tuple[int, UcViolatingTuple | IViolatingPair | None, int]:
     """The banded witness check of each point of xs in turn, up to the first witness.
 
@@ -188,7 +190,9 @@ def witness_scan(
     the checks up to and including it.  Consecutive checks are evaluated
     together in blocks of at most BLOCK points, one oracle call per block,
     so f may also see points of the checks that follow the first witness
-    in its block.  A check whose downset exceeds ``cap`` raises
+    in its block.  Given ``table``, the :func:`witness_table` of f for this
+    band and rule, the first witness is looked up there and only its own
+    check is evaluated.  A check whose downset exceeds ``cap`` raises
     EnumerationCapError, once every check before it has found nothing.
     """
     xs = np.asarray(xs, dtype=np.uint64)
@@ -196,15 +200,54 @@ def witness_scan(
     counts = down_band_counts(roots, band)
     over = np.flatnonzero(counts > cap)
     stop = int(over[0]) if over.size else len(xs)
-    costs = (counts[:stop] + np.uint64(1)).tolist()
-    for start, end in _runs(costs, BLOCK):
+    if table is None:
+        runs = _runs((counts[:stop] + np.uint64(1)).tolist(), BLOCK)
+    else:  # the first witness's check alone
+        hits = np.flatnonzero(table[xs[:stop]])
+        runs = [(int(hits[0]), int(hits[0]) + 1)] if hits.size else []
+    for start, end in runs:
         found = _witness_run(f, xs[start:end], roots[start:end], band, uc)
         if found is not None:
             i, cert = found
-            return start + i, cert, sum(costs[: start + i + 1])
+            i += start
+            return i, cert, int(counts[: i + 1].sum()) + i + 1
     if over.size:
         raise EnumerationCapError(int(counts[stop]), cap)
-    return -1, None, sum(costs)
+    return -1, None, int(counts[:stop].sum()) + stop
+
+
+def witness_table(f: TruthTable, band: Band, uc: bool) -> np.ndarray:
+    """Bool array over every point x: does x's banded witness check find a witness?
+
+    uc: f(x) = 0, x != 0 and the union of the 1-inputs below x with weight
+    in the band is x; otherwise f(x) = 1 and such a 1-input lies below the
+    complement of x.  One in-place subset-OR transform over the band's
+    1-inputs answers every x at once: O(n 2^n) time, and at most two
+    uint32 arrays of 2^n points live.
+    """
+    n = f.arity
+    # unpacked here, not through as_array(), which would keep the copy on f
+    values = np.unpackbits(f._packed(), count=1 << n, bitorder="little")
+    ones = values != 0
+    if band.lo > 0 or band.hi < n:
+        weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+        ones &= (weights >= band.lo) & (weights <= band.hi)
+    if not uc:
+        return _or_below(ones, n)[::-1] & (values != 0)
+    points = np.arange(1 << n, dtype=np.uint32)
+    hit = _or_below(points * ones, n) == points
+    hit &= values == 0
+    hit[0] = False  # x = 0 is only below itself, so as a 0-input it has no members
+    return hit
+
+
+def _or_below(values: np.ndarray, n: int) -> np.ndarray:
+    """values, with values[z] replaced in place by the OR of values[y] over every y <= z."""
+    for i in range(n):
+        step = 1 << i
+        v = values.reshape(-1, 2 * step)
+        v[:, step:] |= v[:, :step]
+    return values
 
 
 def _witness_run(f, xs, roots, band, uc):

@@ -46,6 +46,22 @@ class TestGen:
         tt = TruthTable.load(table_path)
         assert tt.arity == 18
 
+    def test_table_is_materialized_once(self, tmp_path, monkeypatch):
+        from setfam.hardness import UcInstance
+
+        calls = []
+        materialize = UcInstance.materialize
+        monkeypatch.setattr(UcInstance, "materialize",
+                            lambda self: calls.append(1) or materialize(self))
+        table_path = tmp_path / "inst.bftt1"
+        raw = run_cli(
+            ["gen", "--kind", "uc-yes", "--n", "14", "--eps", "0.25", "--seed", "5",
+             "--table", str(table_path)],
+            tmp_path,
+        )
+        assert json.loads(raw)["verification"]["union_closed"] is True
+        assert len(calls) == 1 and TruthTable.load(table_path).arity == 14
+
     def test_int_no_reports_certificate_counts(self, tmp_path):
         raw = run_cli(
             ["gen", "--kind", "int-no", "--n", "16", "--eps", "0.5", "--seed", "11"],

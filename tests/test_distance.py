@@ -96,6 +96,92 @@ class TestPropertyChecks:
             assert is_union_closed(f) == brute_is_union_closed(f)
             assert is_intersecting(f) == brute_is_intersecting(f)
 
+    def test_dense_path_agrees_on_tables_with_the_property(self):
+        # random 1,500-one tables have neither property; these have it, or
+        # miss it by a single point, and still take the dense path at n = 12
+        from setfam.distance import _prefer_dense
+        from setfam.rng import stream
+
+        rng = stream(98)
+        tables = []
+        for k in range(4):
+            closed: set[int] = set()
+            while not _prefer_dense(12, len(closed)):
+                pairs = rng.integers(0, 12, size=(13, 2)).tolist()
+                closed = _union_closure([1 << a | 1 << b for a, b in pairs])
+            tables.append((closed, True, None))
+            end = max(closed)  # the union of every set, made a 0-input
+            tables.append((closed - {end}, False, None))
+            star = [x for x in range(4096) if x >> k & 1 and rng.random() < 0.2]
+            tables.append((star, None, True))
+            tables.append((star + [star[0] ^ 4095], None, False))
+        upper = [x for x in range(4096) if x.bit_count() >= 7 and rng.random() < 0.3]
+        tables.append((upper, None, True))
+        checked = {True: 0, False: 0}
+        for ones, uc, inter in tables:
+            f = TruthTable.from_ones(12, ones)
+            assert _prefer_dense(12, len(ones))
+            if uc is not None:
+                assert is_union_closed(f) is uc == brute_is_union_closed(f)
+                checked[uc] += 1
+            if inter is not None:
+                assert is_intersecting(f) is inter == brute_is_intersecting(f)
+                checked[inter] += 1
+        assert min(checked.values()) >= 8
+
+    def test_dense_closure_matches_the_sparse_closure(self, monkeypatch):
+        import numpy as np
+
+        import setfam.distance as D
+        from setfam.rng import stream
+
+        rng = stream(97)
+        for k, density in enumerate((0.5, 0.7, 0.95, 0.5)):
+            # 1-inputs inside a 9-coordinate subcube keep the sparse closure small
+            coords = np.sort(rng.permutation(12)[:9])
+            low = np.flatnonzero(rng.random(512) < density)
+            ones = (((low[:, None] >> np.arange(9)) & 1) << coords).sum(axis=1).tolist()
+            ones = [x for x in ones if x] + [0] * (k % 2)
+            if k == 3:
+                ones = sorted(_union_closure(ones))
+            f = TruthTable.from_ones(12, ones)
+            assert D._prefer_dense(12, len(ones))
+            dense = union_closure_ones(f)
+            with monkeypatch.context() as m:
+                m.setattr(D, "_prefer_dense", lambda n, k: False)
+                assert union_closure_ones(f) == dense
+            assert (0 in dense) == (k % 2 == 1)
+            assert len(dense) > len(ones) or k == 3
+
+
+def _union_closure(sets) -> set[int]:
+    closed = set(sets)
+    while True:
+        grown = closed | {a | b for a in closed for b in closed}
+        if grown == closed:
+            return closed
+        closed = grown
+
+
+def brute_union_closed_masks(n: int) -> list[int]:
+    size = 1 << n
+    out = []
+    for mask in range(1 << size):
+        ones = [p for p in range(size) if mask >> p & 1]
+        if all(mask >> (u | v) & 1 for u in ones for v in ones):
+            out.append(mask)
+    return out
+
+
+class TestUnionClosedMasks:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_masks_are_every_union_closed_table_ascending(self, n):
+        from setfam.distance import _all_union_closed_masks
+
+        got = _all_union_closed_masks(n)
+        assert got.tolist() == brute_union_closed_masks(n)
+        assert len(got) == {1: 4, 2: 14, 3: 122, 4: 4960}[n]
+
 
 class TestDistInt:
     def test_const1_n2(self):

@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from setfam.boolfn import (
+    EnumerationCapError,
     ResourceCapError,
     TruthTable,
     dictator,
@@ -344,6 +346,116 @@ def _batch_band_points_of(n, band, rng):
     from setfam.boolfn import _batch_band_points
 
     return _batch_band_points(n, sample_band_weights(n, band, rng, 1), rng)[0]
+
+
+class TestDenseWitnessPath:
+    """A TruthTable of at most BLOCK points is answered from its witness table."""
+
+    @staticmethod
+    def outcome(alg, f, cfg) -> str:
+        try:
+            return alg(f, cfg).to_json()
+        except EnumerationCapError as err:
+            return f"cap {err.predicted} {err.cap}"
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 10, 12])
+    def test_reports_match_the_enumeration_path(self, n, monkeypatch):
+        import setfam.testers as T
+        from setfam.boolfn import BooleanFunction
+
+        built = []
+        real = T.witness_table
+        monkeypatch.setattr(T, "witness_table", lambda *a: built.append(a) or real(*a))
+        rng = stream(91, n)
+        seen = set()
+        star = np.arange(1 << n) & 1  # union-closed and intersecting: accepted
+        for k, density in enumerate((0.03, 0.15, 0.5, 0.9, None)):
+            values = star if density is None else rng.random(1 << n) < density
+            t = TruthTable.from_array(n, values)
+            point = BooleanFunction(n, t, t.batch)
+            # one chunk (40), several chunks (300, and ceil(100/eps) = 400)
+            for eps, m in ((0.5, 40), (0.9, 300), (0.25, None)):
+                for alg in (uc_tester, int_tester):
+                    cfg = TesterConfig(eps=eps, seed=7 * k + n, max_iterations=m)
+                    count = len(built)
+                    got = self.outcome(alg, t, cfg)
+                    assert len(built) == count + 1
+                    assert got == self.outcome(alg, point, cfg)
+                    assert len(built) == count + 1  # the point oracle enumerates
+                    seen.add(got.split('"verdict":')[-1][:8])
+        assert seen == {'"accept"', '"reject"'}
+
+    @pytest.mark.parametrize("n", [6, 9, 12])
+    def test_cap_errors_fire_as_on_the_enumeration_path(self, n):
+        from setfam.boolfn import BooleanFunction
+
+        rng = stream(92, n)
+        kinds = set()
+        for k, density in enumerate((0.05, 0.3, 0.8)):
+            t = TruthTable.from_array(n, rng.random(1 << n) < density)
+            point = BooleanFunction(n, t, t.batch)
+            for cap in (1, 8, 40, 2 ** (n - 2)):
+                for alg in (uc_tester, int_tester):
+                    cfg = TesterConfig(eps=0.5, seed=k, max_iterations=200,
+                                       enumeration_cap=cap)
+                    got = self.outcome(alg, t, cfg)
+                    assert got == self.outcome(alg, point, cfg)
+                    kinds.add(got.split()[0] if got.startswith("cap") else "report")
+        assert kinds == {"cap", "report"}
+
+    def test_a_larger_table_enumerates(self, monkeypatch):
+        import setfam.testers as T
+
+        monkeypatch.setattr(T, "witness_table", None)  # calling it would raise
+        f = TruthTable.from_ones(13, [1, 2])
+        rep = uc_tester(f, TesterConfig(eps=0.5, seed=0, max_iterations=20))
+        assert rep.verdict == "accept"
+
+
+class TestExactIterationSuccess:
+    """Each iteration of a witness tester rejects with the exact probability
+    p = (band points with a witness) / (band points), independently, so R
+    iterations reject with probability 1 - (1 - p)^R."""
+
+    @staticmethod
+    def far_tables():
+        from setfam.distance import disjoint_tuple_count_lb
+
+        rng = stream(93)
+        uc = [TruthTable.from_array(8, rng.random(256) < 0.5)]
+        closed = {0}
+        for g in rng.integers(1, 1024, size=7).tolist():
+            closed |= {c | g for c in closed}
+        ends = sorted(closed - {0})[-4:]  # a few unions removed: a rare witness
+        uc.append(TruthTable.from_ones(10, [c for c in closed if c and c not in ends]))
+        star = [x for x in range(512) if x & 1 and rng.random() < 0.5]
+        inter = [TruthTable.from_ones(9, star + [star[-1] ^ 511, star[-2] ^ 511]),
+                 TruthTable.from_array(10, rng.random(1024) < 0.1)]
+        for f in uc:
+            assert disjoint_tuple_count_lb(f) >= 1  # far from union-closed
+        for f in inter:
+            v = f.as_array()
+            assert (v & v[::-1]).sum() >= 2  # antipodal 1-pairs: far from intersecting
+        return [(uc_tester, True, f) for f in uc] + [(int_tester, False, f) for f in inter]
+
+    def test_reject_counts_match_the_exact_rate(self):
+        from setfam.violations import witness_table
+
+        eps, runs = 0.5, 200
+        for alg, uc, f in self.far_tables():
+            n = f.arity
+            band = mid_band(n, eps)
+            weights = np.bitwise_count(np.arange(1 << n))
+            in_band = (weights >= band.lo) & (weights <= band.hi)
+            p = witness_table(f, band, uc)[in_band].mean()
+            assert 0 < p < 1
+            r = max(1, round(math.log(2) / -math.log1p(-p)))  # rejects about half the runs
+            q = 1 - (1 - p) ** r
+            rejects = sum(
+                alg(f, TesterConfig(eps=eps, seed=s, max_iterations=r)).verdict == "reject"
+                for s in range(runs))
+            sigma = math.sqrt(runs * q * (1 - q))
+            assert abs(rejects - runs * q) <= 5 * sigma, (alg.__name__, n, p, r, rejects)
 
 
 class TestCertificateReverification:

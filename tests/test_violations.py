@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,8 @@ from setfam.violations import (
     min_violation_locality,
     witness_check_int,
     witness_check_uc,
+    witness_scan,
+    witness_table,
 )
 
 bits = parse_bits
@@ -174,6 +177,35 @@ class TestWitnessChecks:
         assert (got is not None) == expected
         if got is not None:
             assert got.holds_for(f)
+
+
+class TestWitnessTable:
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.floats(0.02, 0.98),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_witness_scan_on_every_point(self, n, seed, density, data):
+        lo = data.draw(st.integers(0, n), label="lo")
+        hi = data.draw(st.integers(0, n), label="hi")  # lo > hi: an empty band
+        band = Band(lo, hi)
+        f = TruthTable.from_array(n, np.random.default_rng(seed).random(1 << n) < density)
+        points = np.arange(1 << n, dtype=np.uint64)
+        for uc in (True, False):
+            table = witness_table(f, band, uc)
+            assert table.dtype == bool and table.shape == (1 << n,)
+            scanned = [witness_scan(f, points[x:x + 1], band, uc)[0] == 0
+                       for x in range(1 << n)]
+            assert table.tolist() == scanned
+
+    def test_full_band_marks_the_property_violations(self):
+        # 100 | 010 = 110 and 100 | 011 = 111 are 0-inputs; 100 is disjoint
+        # from both other 1-inputs
+        f = TruthTable.from_ones(3, [bits("100"), bits("010"), bits("011")])
+        full = Band(0, 3)
+        assert np.flatnonzero(witness_table(f, full, True)).tolist() == [
+            bits("110"), bits("111")]
+        assert np.flatnonzero(witness_table(f, full, False)).tolist() == [
+            bits("100"), bits("010"), bits("011")]
+        assert not witness_table(f, Band(2, 3), True).any()
 
 
 def brute_max_disjoint_pairs(f: TruthTable) -> int:
