@@ -21,7 +21,6 @@ from .boolfn import (
     TruthTable,
     enumerate_down_band,
     mid_band,
-    sample_band_uniform,
     truncate_int,
     truncate_uc,
 )

@@ -50,8 +50,6 @@ __all__ = [
     "down_band_blocks",
     "band_weight_counts",
     "sample_band_weights",
-    "sample_band_uniform",
-    "sample_down_band_uniform",
     "const_function",
     "dictator",
     "majority",
@@ -245,10 +243,10 @@ class TruthTable:
     """Dense bit-packed function on {0,1}^n, n <= 24.
 
     The underlying storage is a single Python int whose bit p is the value at
-    point p; a numpy 0/1 view is materialized on demand for vector transforms.
+    point p; a numpy 0/1 array is unpacked from it on demand.
     """
 
-    __slots__ = ("arity", "bits", "_array")
+    __slots__ = ("arity", "bits")
 
     def __init__(self, arity: int, bits: int):
         if not 1 <= arity <= MAX_TABLE_ARITY:
@@ -258,7 +256,6 @@ class TruthTable:
             raise ValueError("bits outside table range")
         self.arity = arity
         self.bits = bits
-        self._array: np.ndarray | None = None
 
     # -- constructors -------------------------------------------------------
 
@@ -332,11 +329,8 @@ class TruthTable:
         return self.bits.bit_count()
 
     def as_array(self) -> np.ndarray:
-        """0/1 uint8 view of length 2^arity (cached)."""
-        if self._array is None:
-            values = np.unpackbits(self._packed(), bitorder="little")
-            self._array = values[: 1 << self.arity]
-        return self._array
+        """0/1 uint8 array of length 2^arity, unpacked afresh on each call."""
+        return np.unpackbits(self._packed(), count=1 << self.arity, bitorder="little")
 
     def _packed(self) -> np.ndarray:
         """The BFTT1 payload as uint8: point p is bit p % 8 of byte p // 8."""
@@ -667,9 +661,8 @@ def _downset_classes(n: int, band: Band) -> tuple[np.ndarray, np.ndarray]:
 def sample_band_weights(n: int, band: Band, rng: np.random.Generator, size: int) -> np.ndarray:
     """Weight classes for ``size`` uniform draws from the banded cube (n <= 63).
 
-    This is the weight layer of :func:`sample_band_uniform`: class j is hit
-    with probability C(n,j)/sum over the band, using exact integer arithmetic.
-    One ``integers(0, total, size)`` draw.
+    Class j is hit with probability C(n,j)/sum over the band, using exact
+    integer arithmetic.  One ``integers(0, total, size)`` draw.
     """
     totals, cum = _downset_classes(n, band)
     if totals[n] == 0:
@@ -718,27 +711,3 @@ def _subsets(xs: np.ndarray, sizes: np.ndarray, rows: np.ndarray) -> np.ndarray:
     rank = np.maximum(np.cumsum(bits, axis=1) - 1, 0)
     keys = np.where(bits, rows[np.arange(len(rows))[:, None], rank], np.inf)
     return _lowest(keys, sizes)
-
-
-def sample_band_uniform(n: int, band: Band, rng: np.random.Generator) -> int:
-    """Exactly uniform point with weight in the band (n <= 63).
-
-    Draws the weight class with :func:`sample_band_weights`, then one row of
-    n doubles whose j smallest values pick the point's coordinates.
-    """
-    weights = sample_band_weights(n, band, rng, 1)
-    return int(_batch_band_points(n, weights, rng)[0])
-
-
-def sample_down_band_uniform(x: int, band: Band, rng: np.random.Generator) -> int:
-    """Exactly uniform element of the banded downset of x (must be nonempty).
-
-    One ``integers(0, |downset|)`` draw picks the weight class j, then one
-    row of x.bit_length() doubles whose j smallest values on x's set bits
-    pick the point.
-    """
-    if down_band_count(x, band) == 0:
-        raise ValueError("banded downset is empty")
-    n = x.bit_length()
-    js = _downset_weights(rng, n, band, np.array([x.bit_count()]))
-    return int(_subsets(np.array([x], dtype=np.uint64), js, rng.random((1, n)))[0])

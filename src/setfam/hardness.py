@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -101,19 +102,11 @@ def talagrand_params(n: int, eps: float) -> tuple[int, int]:
     return term_size, num_terms
 
 
-def _unique_term(x: int, terms: tuple[int, ...]) -> int:
-    """Index of the one term mask that x satisfies; -1 if none, -2 if several."""
-    found = -1
-    for i, t in enumerate(terms):
-        if x & t == t:
-            if found != -1:
-                return -2
-            found = i
-    return found
-
-
 def _unique_terms(xs: np.ndarray, terms: tuple[int, ...]) -> np.ndarray:
-    """:func:`_unique_term` at every point of a uint64 array, as int32."""
+    """Per point of a uint64 array, the index of the one term mask it satisfies.
+
+    As int32: -1 where no term is satisfied, -2 where several are.
+    """
     seen = np.zeros(xs.shape, dtype=bool)
     many = np.zeros(xs.shape, dtype=bool)
     ell = np.zeros(xs.shape, dtype=np.int32)
@@ -159,16 +152,8 @@ class TalagrandDnf:
     def sat_count(self, x: int) -> int:
         return sum(1 for t in self.terms if x & t == t)
 
-    def unique_term(self, x: int) -> int | None:
-        """The term index if exactly one term is satisfied, else None."""
-        ell = _unique_term(x, self.terms)
-        return ell if ell >= 0 else None
-
     def __call__(self, x: int) -> int:
         return 1 if any(x & t == t for t in self.terms) else 0
-
-    def as_function(self) -> BooleanFunction:
-        return BooleanFunction(self.n, self.__call__)
 
     def term_coordinate_lists(self) -> list[list[int]]:
         """1-based sorted coordinates per term (for display/serialization)."""
@@ -343,12 +328,17 @@ def _action_region(wa: int, a: int) -> int:
     return 0
 
 
-def _action_regions_arr(wa: np.ndarray, a: int) -> np.ndarray:
-    d = 2 * wa.astype(np.int64) - a
-    out = np.zeros(wa.shape, dtype=np.int8)
-    out[(d > 0) & (d * d > 4 * a)] = 1
-    out[(d < 0) & (d * d > 4 * a)] = -1
-    return out
+@lru_cache(maxsize=64)
+def _action_regions(a: int) -> np.ndarray:
+    """:func:`_action_region` of each action weight 0..a, as an int8 table to index."""
+    table = np.array([_action_region(w, a) for w in range(a + 1)], dtype=np.int8)
+    table.flags.writeable = False  # shared by every caller
+    return table
+
+
+def _oracle(arity: int, batch) -> BooleanFunction:
+    """An instance's black-box view: ``batch``, and one point's value as a one-point batch."""
+    return BooleanFunction(arity, lambda x: int(batch(np.array([x], dtype=np.uint64))[0]), batch)
 
 
 # -- intersectingness instances ---------------------------------------------------
@@ -360,11 +350,21 @@ INT_KINDS = ("yes", "no", "one_sided_no")
 class IntersectInstance:
     """Hard instance for intersectingness testing, over arity n + 2.
 
-    The last two coordinates are the selector pair: inputs with equal
-    selector bits evaluate to 0; (x, 0, 1) is driven by the unique satisfied
-    term of the control part of x, (x, 1, 0) by that of its complement.  The
-    one_sided_no kind replaces the DNF machinery with global and action
-    weight windows (thresholds n/2 +- 10K and n/200 +- K, K = sqrt(n ln(1/eps))).
+    A point is (x, y1, y2): x on [n], then the selector pair, bits n and
+    n + 1.  Inputs with equal selector bits evaluate to 0.  The control view
+    is x on the (x, 0, 1) side and its complement on the (x, 1, 0) side; a
+    view that satisfies no term or several gives 0, and one that satisfies
+    exactly one term ell gives a value from b[ell] and the region
+    (:func:`_action_region`) of x's action weight:
+
+    - yes: 1 on the (x, 0, 1) side when b[ell] = 1 and on the (x, 1, 0)
+      side when b[ell] = 0, and there only outside the middle region;
+    - no: 1 in the top region when b[ell] = 0 and in the bottom region
+      when b[ell] = 1, identically on both selector sides.
+
+    The one_sided_no kind replaces the DNF machinery with global and action
+    weight windows: x gives 1 on either side when |x| lies within 10K of
+    n/2 and its action weight below n/200 - K, K = sqrt(n ln(1/eps)).
     """
 
     kind: str
@@ -386,44 +386,8 @@ class IntersectInstance:
     def action_mask(self) -> int:
         return _mask_of(self.action_coords)
 
-    def _eval(self, u: int) -> int:
-        n = self.n
-        x = u & ((1 << n) - 1)
-        y1 = (u >> n) & 1
-        y2 = (u >> (n + 1)) & 1
-        if y1 == y2:
-            return 0
-        if self.kind == "one_sided_no":
-            return self._eval_one_sided(x)
-        control_view = x if y1 == 0 else x ^ ((1 << n) - 1)
-        ell = _unique_term(control_view, self.term_masks)
-        if ell < 0:
-            return 0
-        region = _action_region((x & self.action_mask).bit_count(), self.a)
-        bl = self.b[ell]
-        if self.kind == "yes":
-            # satisfied only on the (0,1) side when b=1 / the (1,0) side when
-            # b=0, and there only outside the middle action band
-            active = bl == 1 if y1 == 0 else bl == 0
-            return 1 if active and region != 0 else 0
-        # "no": value is carried by the top region when b=0, bottom when b=1,
-        # identically on both selector sides
-        want = 1 if bl == 0 else -1
-        return 1 if region == want else 0
-
-    def _eval_one_sided(self, x: int) -> int:
-        n = self.n
-        k2 = n * math.log(1.0 / self.eps)  # K^2
-        d = 2 * x.bit_count() - n
-        if d * d > 400.0 * k2:  # | |x| - n/2 | > 10K
-            return 0
-        e = n - 200 * (x & self.action_mask).bit_count()
-        if e > 0 and e * e > 40000.0 * k2:  # |x_A| < n/200 - K
-            return 1
-        return 0
-
     def batch(self, us: np.ndarray) -> np.ndarray:
-        """:meth:`_eval` at every point of a uint64 array, as uint8."""
+        """The instance's value at every point of a uint64 array, as uint8."""
         n = self.n
         size = len(us)
         us = _padded(np.asarray(us, dtype=np.uint64))
@@ -442,7 +406,7 @@ class IntersectInstance:
             # per-term tables indexed by ell + 2; entries 0 and 1 (no unique
             # term) hold 2, which no selector bit or region equals
             term = _unique_terms(np.where(y1 == 0, x, x ^ full), self.term_masks) + 2
-            region = _action_regions_arr(popcount_array(x & amask), self.a)
+            region = _action_regions(self.a)[popcount_array(x & amask)]
             if self.kind == "yes":
                 # active on the (x, 0, 1) side when b=1 and the (x, 1, 0) side
                 # when b=0, outside the middle action band
@@ -457,7 +421,7 @@ class IntersectInstance:
         return out[:size]
 
     def function(self) -> BooleanFunction:
-        return BooleanFunction(self.arity, self._eval, self.batch)
+        return _oracle(self.arity, self.batch)
 
     def materialize(self) -> TruthTable:
         """Full table over 2^(n+2) points."""
@@ -567,10 +531,11 @@ class UcInstance:
     """Hard instance for union-closedness testing, over arity n.
 
     eps must be a power of 1/2; the action set has log2(1/eps) coordinates
-    and the control DNF is Talagrand with inner parameter 1.  A unique-term
-    input is satisfied iff its action bits hit the term's secret string (yes)
-    or either of an antipodal secret pair, gated by the term bit (no); two or
-    more satisfied terms always give 1.
+    and the control DNF is Talagrand with inner parameter 1.  An input that
+    satisfies no term gives 0, and one that satisfies two or more gives 1.
+    One that satisfies exactly one term ell gives 1 iff its action part is
+    the secret string s[ell] (yes), or, when the term bit b[ell] is 1, either
+    point r[ell] or r[ell] ^ action_mask of the antipodal secret pair (no).
     """
 
     kind: str
@@ -594,19 +559,8 @@ class UcInstance:
     def action_mask(self) -> int:
         return _mask_of(self.action_coords)
 
-    def _eval(self, x: int) -> int:
-        ell = _unique_term(x, self.term_masks)
-        if ell < 0:
-            return 1 if ell == -2 else 0
-        xa = x & self.action_mask
-        if self.kind == "yes":
-            return 1 if xa == self.s[ell] else 0
-        if self.b[ell] == 0:
-            return 0
-        return 1 if xa == self.r[ell] or xa == self.r[ell] ^ self.action_mask else 0
-
     def batch(self, xs: np.ndarray) -> np.ndarray:
-        """:meth:`_eval` at every point of a uint64 array, as uint8."""
+        """The instance's value at every point of a uint64 array, as uint8."""
         size = len(xs)
         xs = _padded(np.asarray(xs, dtype=np.uint64))
         ell = _unique_terms(xs, self.term_masks)
@@ -625,7 +579,7 @@ class UcInstance:
         return out.astype(np.uint8)[:size]
 
     def function(self) -> BooleanFunction:
-        return BooleanFunction(self.n, self._eval, self.batch)
+        return _oracle(self.n, self.batch)
 
     def materialize(self) -> TruthTable:
         if self.n > MAX_TABLE_ARITY:
@@ -809,12 +763,12 @@ def estimate_bad_probability(
                 axis=1
             )
         bad = np.zeros(batch, dtype=bool)
+        regions = _action_regions(a)
         for i in range(q):
             for j in range(i + 1, q):
                 both = uniq[i] & uniq[j] & (term_of[i] == term_of[j])
                 if params.construction == "intersect":
-                    ri = _action_regions_arr(wa[i], a)
-                    rj = _action_regions_arr(wa[j], a)
+                    ri, rj = regions[wa[i]], regions[wa[j]]
                     split = ((ri == 1) & (rj == -1)) | ((ri == -1) & (rj == 1))
                     bad |= both & split
                 else:

@@ -222,20 +222,23 @@ def witness_table(f: TruthTable, band: Band, uc: bool) -> np.ndarray:
     uc: f(x) = 0, x != 0 and the union of the 1-inputs below x with weight
     in the band is x; otherwise f(x) = 1 and such a 1-input lies below the
     complement of x.  One in-place subset-OR transform over the band's
-    1-inputs answers every x at once: O(n 2^n) time, and at most two
-    uint32 arrays of 2^n points live.
+    1-inputs answers every x at once: O(n 2^n) time, and for uc one uint32
+    array of 2^n unions.  The union below x lies inside x, so it is x
+    exactly when its weight is x's.
     """
     n = f.arity
-    # unpacked here, not through as_array(), which would keep the copy on f
-    values = np.unpackbits(f._packed(), count=1 << n, bitorder="little")
+    values = f.as_array()
     ones = values != 0
-    if band.lo > 0 or band.hi < n:
+    narrow = band.lo > 0 or band.hi < n
+    if uc or narrow:
         weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+    if narrow:
         ones &= (weights >= band.lo) & (weights <= band.hi)
     if not uc:
         return _or_below(ones, n)[::-1] & (values != 0)
-    points = np.arange(1 << n, dtype=np.uint32)
-    hit = _or_below(points * ones, n) == points
+    unions = np.arange(1 << n, dtype=np.uint32)
+    unions *= ones
+    hit = np.equal(np.bitwise_count(_or_below(unions, n)), weights, out=ones)  # ones is spent
     hit &= values == 0
     hit[0] = False  # x = 0 is only below itself, so as a 0-input it has no members
     return hit

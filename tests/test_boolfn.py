@@ -14,6 +14,9 @@ from setfam.boolfn import (
     EnumerationCapError,
     QueryCounter,
     TruthTable,
+    _batch_band_points,
+    _downset_weights,
+    _subsets,
     band_weight_counts,
     const_function,
     dictator,
@@ -25,9 +28,7 @@ from setfam.boolfn import (
     mid_band,
     parse_bits,
     popcount_array,
-    sample_band_uniform,
     sample_band_weights,
-    sample_down_band_uniform,
     truncate_int,
     truncate_uc,
 )
@@ -196,41 +197,45 @@ class TestSampling:
 
     def test_uniform_over_cube_n2(self):
         rng = stream(7)
-        counts = {x: 0 for x in range(4)}
-        for _ in range(20000):
-            counts[sample_band_uniform(2, Band(0, 2), rng)] += 1
+        xs = _batch_band_points(2, sample_band_weights(2, Band(0, 2), rng, 20000), rng)
+        counts = np.bincount(xs.astype(np.intp), minlength=4)
+        assert len(counts) == 4
         for x in range(4):
             assert abs(counts[x] - 5000) < 4 * math.sqrt(20000 * 0.25 * 0.75)
 
     def test_single_weight_class(self):
         rng = stream(3)
-        seen = {sample_band_uniform(3, Band(1, 1), rng) for _ in range(200)}
-        assert seen == {1, 2, 4}
+        xs = _batch_band_points(3, sample_band_weights(3, Band(1, 1), rng, 200), rng)
+        assert set(xs.tolist()) == {1, 2, 4}
+
+    @staticmethod
+    def down_band_draws(x: int, band: Band, rng, draws: int) -> list[int]:
+        """``draws`` uniform points of x's banded downset, drawn as the testers draw them."""
+        n = x.bit_length()
+        js = _downset_weights(rng, n, band, np.full(draws, x.bit_count()))
+        return _subsets(np.full(draws, x, dtype=np.uint64), js, rng.random((draws, n))).tolist()
 
     def test_downset_sampler_stays_inside(self):
-        rng = stream(5)
         x = bits("1011010011")
         band = Band(2, 4)
-        for _ in range(500):
-            y = sample_down_band_uniform(x, band, rng)
+        for y in self.down_band_draws(x, band, stream(5), 500):
             assert y & x == y and y.bit_count() in band
 
     def test_downset_sampler_is_uniform_4sigma(self):
         x, band, draws = 0b1011010001, Band(1, 3), 50_000
         points = list(enumerate_down_band(x, band))
         assert len(points) == 25
-        rng = stream(6)
         counts = dict.fromkeys(points, 0)
-        for _ in range(draws):
-            counts[sample_down_band_uniform(x, band, rng)] += 1  # KeyError if outside
+        for y in self.down_band_draws(x, band, stream(6), draws):
+            counts[y] += 1  # KeyError if outside
         p = 1 / len(points)
         sigma = math.sqrt(draws * p * (1 - p))
         for y, c in counts.items():
             assert abs(c - draws * p) < 4 * sigma, (y, c)
 
     def test_downset_sampler_refuses_an_empty_downset(self):
-        with pytest.raises(ValueError):
-            sample_down_band_uniform(0b101, Band(3, 4), stream(1))
+        with pytest.raises(ValueError, match="high <= 0"):
+            self.down_band_draws(0b101, Band(3, 4), stream(1), 1)
 
     def test_band_weight_counts(self):
         assert band_weight_counts(4, Band(1, 2)) == [4, 6]
@@ -327,6 +332,7 @@ class TestTruthTableFormats:
         tbl = data.draw(st.integers(0, 2 ** (2**n) - 1))
         tt = TruthTable(n, tbl)
         arr = tt.as_array()
+        assert len(arr) == 1 << n and tt.as_array() is not arr
         for x in range(1 << n):
             assert arr[x] == tt(x)
 
@@ -339,7 +345,6 @@ class TestTruthTableFormats:
         got = tt.batch(np.array(xs, dtype=np.uint64))
         assert got.dtype == np.uint8
         assert got.tolist() == [tt(x) for x in xs]
-        assert tt._array is None  # batch leaves nothing cached on the table
 
     @given(st.integers(1, 12), st.data())
     @settings(max_examples=60)
@@ -347,7 +352,6 @@ class TestTruthTableFormats:
         tbl = data.draw(st.integers(0, 2 ** (2**n) - 1))
         tt = TruthTable(n, tbl)
         assert tt.ones() == [x for x in range(1 << n) if (tbl >> x) & 1]
-        assert tt._array is None
 
 
 def test_popcount_array():

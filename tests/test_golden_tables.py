@@ -7,6 +7,8 @@ SHA-256 of ``materialize().to_bftt1()`` and, for no-instances, the
 ``unique_sat_probability`` results at fixed streams.  The tester corpus
 pins only the points that testers query; these pin whole tables, so a
 change to how an instance decides its unique satisfied term shows up here.
+Each table is also compared, point by point, with the scalar evaluators of
+``reference_instances``.
 
 Regenerate only on a deliberate change of instance semantics:
 
@@ -31,10 +33,12 @@ from setfam.hardness import (
 )
 from setfam.rng import stream
 
+import reference_instances as ref
+
 GOLDEN_PATH = Path(__file__).parent / "golden_tables.json"
 
-#: Points on which the scalar oracle is checked against the table: all of
-#: them up to this many, else this many fixed random ones.
+#: Points on which the scalar reference is checked against the table: all
+#: of them up to this many, else this many fixed random ones.
 POINTWISE = 1 << 16
 
 
@@ -142,8 +146,7 @@ def test_materialized_table_matches_golden(case):
     size = 1 << inst.arity
     points = (np.arange(size, dtype=np.uint64) if size <= POINTWISE
               else stream(2311, inst.arity).integers(0, size, POINTWISE, dtype=np.uint64))
-    f = inst.function()
-    assert [f(p) for p in points.tolist()] == table.batch(points).tolist()
+    assert [ref.value(inst, p) for p in points.tolist()] == table.batch(points).tolist()
 
 
 def test_one_sided_answers_match_golden():

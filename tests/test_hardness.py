@@ -11,7 +11,6 @@ from setfam.violations import TripleCertificate
 from setfam.distance import dist_int_exact, is_intersecting, is_union_closed
 from setfam.hardness import (
     BadEventParams,
-    _unique_term,
     _unique_terms,
     bad_pair_bound,
     build_int_instance,
@@ -28,6 +27,8 @@ from setfam.hardness import (
     wilson_interval,
 )
 from setfam.rng import stream
+
+import reference_instances as ref
 
 
 class TestTalagrand:
@@ -59,7 +60,7 @@ class TestTalagrand:
         dnf = sample_talagrand(25, 1.0, stream(3))
         full = (1 << 25) - 1
         assert dnf.sat_count(full) == dnf.num_terms
-        assert dnf.unique_term(0) is None
+        assert _unique_terms(np.array([0], dtype=np.uint64), dnf.terms).tolist() == [-1]
 
     @given(st.lists(st.integers(0, 2**10 - 1), max_size=6),
            st.lists(st.integers(0, 2**10 - 1), min_size=1, max_size=40))
@@ -70,7 +71,7 @@ class TestTalagrand:
         for x, ell in zip(xs, got.tolist()):
             sat = [i for i, t in enumerate(terms) if x & t == t]
             want = sat[0] if len(sat) == 1 else (-1 if not sat else -2)
-            assert _unique_term(x, terms) == ell == want
+            assert ref.unique_term(x, terms) == ell == want
 
 
 class TestUniqueSat:
@@ -168,10 +169,10 @@ class TestIntersectInstances:
         # unique term + bit set + action weight below band -> value 1 on (x,0,1)
         inst = build_int_instance("no", 16, 0.5, 17)
         n, a = inst.n, inst.a
-        f = inst.function()
+        f = inst.materialize()
         hits = 0
         for x in range(1 << n):
-            ell = _unique_term(x, inst.term_masks)
+            ell = ref.unique_term(x, inst.term_masks)
             if ell < 0 or inst.b[ell] != 1:
                 continue
             wa = (x & inst.action_mask).bit_count()
@@ -234,7 +235,7 @@ class TestIntersectInstances:
         inst = build_int_instance("no", 12, 0.5, 23)
         n, a = inst.n, inst.a
         m = n - a
-        f = inst.function()
+        f = inst.materialize()
         control_full = 0
         for c in inst.control_coords:
             control_full |= 1 << c
@@ -285,14 +286,12 @@ class TestIntersectInstances:
         f = inst.function()
         n = inst.n
         rng = stream(10)
-        saw_one = False
-        for _ in range(300):
-            x = int(rng.integers(0, 1 << 62) % (1 << n))
-            assert f(x) == 0 and f(x | (3 << n)) == 0
-            v1 = f(x | (1 << (n + 1)))  # (x, 0, 1)
-            v2 = f(x | (1 << n))  # (x, 1, 0)
-            assert v1 == v2
-            saw_one = saw_one or v1 == 1
+        xs = np.array([int(rng.integers(0, 1 << 62) % (1 << n)) for _ in range(300)],
+                      dtype=np.uint64)
+        assert not f.batch(xs).any() and not f.batch(xs | np.uint64(3 << n)).any()
+        v1 = f.batch(xs | np.uint64(1 << (n + 1)))  # (x, 0, 1)
+        v2 = f.batch(xs | np.uint64(1 << n))  # (x, 1, 0)
+        assert v1.tolist() == v2.tolist() and v1.any()
 
     def test_one_sided_degenerate_n(self):
         with pytest.raises(ValueError):
@@ -419,7 +418,7 @@ class TestUcInstances:
         checked = 0
         for seed in range(12):
             inst = build_uc_instance("no", 16, 1 / 16, seed)
-            f = inst.function()
+            f = inst.materialize()
             amask = inst.action_mask
             triples = []
             for v in range(1 << (inst.n - inst.a)):
@@ -448,7 +447,7 @@ class TestUcInstances:
         # two 1-inputs with different unique terms union into the >= 2 region
         inst = build_uc_instance("yes", 16, 1 / 4, 9)
         f = inst.function()
-        ones = [x for x in range(1 << 14) if f(x) == 1]
+        ones = np.flatnonzero(f.batch(np.arange(1 << 14, dtype=np.uint64))).tolist()
         rng = stream(11)
         for _ in range(100):
             if len(ones) < 2:
@@ -514,7 +513,7 @@ class TestInstanceBatch:
             xs = stream(59, arity).integers(0, 1 << arity, size=4000, dtype=np.uint64)
         got = inst.function().batch(xs)
         assert got.dtype == np.uint8
-        assert got.tolist() == [inst._eval(x) for x in xs.tolist()]
+        assert got.tolist() == [ref.value(inst, x) for x in xs.tolist()]
         assert 0 < got.sum() < len(xs) or arity > 16
 
 
