@@ -509,12 +509,13 @@ def _scatter(patterns: np.ndarray, roots: np.ndarray, owner: np.ndarray) -> np.n
     """Bit k of each pattern moved to the k-th lowest set bit of its root roots[owner].
 
     A byte of roots at a time: the byte's set bits take the next pattern
-    bits, through a table of all (byte, pattern byte) pairs.
+    bits, through a table of all (byte, pattern byte) pairs.  Empty input
+    gives an empty uint64 array.
     """
     deposit, pop = _deposit_table()
     out = np.zeros(len(patterns), dtype=np.uint64)
     used = np.zeros(len(roots), dtype=np.uint64)  # pattern bits taken by lower bytes
-    for b in range(0, int(roots.max()).bit_length(), 8):
+    for b in range(0, int(roots.max(initial=0)).bit_length(), 8):
         byte = ((roots >> np.uint64(b)) & np.uint64(0xFF)).astype(np.intp)
         low = ((patterns >> used[owner]) & np.uint64(0xFF)).astype(np.intp)
         out |= deposit[(byte << 8)[owner] | low].astype(np.uint64) << np.uint64(b)
@@ -633,8 +634,8 @@ def band_weight_counts(n: int, band: Band) -> list[int]:
     return [math.comb(n, j) for j in band.weights()]
 
 
-_BIT_INDEX = np.arange(64, dtype=np.uint64)
-_BIT = np.uint64(1) << _BIT_INDEX
+_COLUMN = np.arange(64)
+_BIT = np.uint64(1) << _COLUMN.astype(np.uint64)
 
 
 @lru_cache(maxsize=256)
@@ -672,17 +673,25 @@ def sample_band_weights(n: int, band: Band, rng: np.random.Generator, size: int)
     return np.asarray(band.lo + idx, dtype=np.int64)
 
 
-def _downset_weights(
+def _downset_draws(
     rng: np.random.Generator, n: int, band: Band, ws: np.ndarray
 ) -> np.ndarray:
-    """Weight class j of a uniform banded-downset point below each weight ws[i].
+    """For a uniform banded-downset point below each weight ws[i], its draw u.
 
-    One ``integers(0, total_w)`` draw u per point, then j = band.lo plus the
-    number of cumulative class sizes <= u.
+    One ``integers(0, total_w)`` draw per point, as uint64; u picks the
+    point's weight class through :func:`_downset_class`.
     """
-    totals, cum = _downset_classes(n, band)
-    us = rng.integers(0, totals[ws], dtype=np.uint64)
-    return band.lo + (cum[ws] <= us[:, None]).sum(axis=1)
+    totals, _ = _downset_classes(n, band)
+    return rng.integers(0, totals[ws], dtype=np.uint64)
+
+
+def _downset_class(n: int, band: Band, ws: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """Weight class j of each draw u of us below its weight in ws (broadcast).
+
+    j is band.lo plus the number of cumulative class sizes <= u.
+    """
+    _, cum = _downset_classes(n, band)
+    return band.lo + (cum[ws] <= us[..., None]).sum(axis=-1)
 
 
 def _lowest(keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -690,8 +699,8 @@ def _lowest(keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
     Equal keys go to the lower column, as in a stable per-row argsort.
     """
-    order = np.argsort(keys, axis=1, kind="stable")
-    taken = np.arange(keys.shape[1]) < counts[:, None]
+    order = keys.argsort(axis=1, kind="stable")
+    taken = _COLUMN[: keys.shape[1]] < counts[:, None]
     return (_BIT[order] * taken).sum(axis=1, dtype=np.uint64)
 
 
@@ -704,10 +713,10 @@ def _subsets(xs: np.ndarray, sizes: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Per round i, the sizes[i]-subset of xs[i]'s bits that rows[i] selects.
 
     The k-th set bit of xs[i], lowest first, takes the value rows[i, k]; the
-    subset is the bits with the sizes[i] smallest values.
+    subset is the bits with the sizes[i] smallest values, equal values going
+    to the lower bit.  It is found as the pattern of the sizes[i] smallest of
+    rows[i, :|xs[i]|], deposited onto the set bits of xs[i].  Empty input
+    gives an empty uint64 array.
     """
-    n = rows.shape[1]
-    bits = ((xs[:, None] >> _BIT_INDEX[:n]) & np.uint64(1)).astype(bool)
-    rank = np.maximum(np.cumsum(bits, axis=1) - 1, 0)
-    keys = np.where(bits, rows[np.arange(len(rows))[:, None], rank], np.inf)
-    return _lowest(keys, sizes)
+    keys = np.where(_COLUMN[: rows.shape[1]] < np.bitwise_count(xs)[:, None], rows, np.inf)
+    return _scatter(_lowest(keys, sizes), xs, np.arange(len(xs)))

@@ -145,16 +145,6 @@ class TalagrandDnf:
     def num_terms(self) -> int:
         return len(self.terms)
 
-    def sat_terms(self, x: int) -> list[int]:
-        """Indices of terms whose coordinates all lie in supp(x)."""
-        return [i for i, t in enumerate(self.terms) if x & t == t]
-
-    def sat_count(self, x: int) -> int:
-        return sum(1 for t in self.terms if x & t == t)
-
-    def __call__(self, x: int) -> int:
-        return 1 if any(x & t == t for t in self.terms) else 0
-
     def term_coordinate_lists(self) -> list[list[int]]:
         """1-based sorted coordinates per term (for display/serialization)."""
         out = []

@@ -2,7 +2,9 @@
 
 All four are one-sided and non-adaptive: a reject always carries a
 certificate that re-verifies against the oracle, and the query set of an
-iteration never depends on answers.
+iteration never depends on answers.  Every query is drawn, but the
+evaluation may stop early: once an iteration's answers so far rule out a
+reject, the rest of its queries need not be evaluated (see Queries).
 
 Randomness contract.  A run derives one Philox stream from its seed and
 reads it in this order, R being the number of iterations (rounds):
@@ -39,14 +41,19 @@ the witness testers, and 3 (2) per round for the 3-query (2-query) tester.
 The witness testers evaluate a chunk in blocks of at most 2^12 points
 (``boolfn.BLOCK``): x and the banded downset of consecutive iterations
 together, or one large downset over several blocks.  The round testers
-evaluate a whole chunk at once.  Both use one call of the oracle's ``batch``
-method per block or chunk when it has one, and evaluate point by point
-otherwise, so an oracle may also see points of the iterations after the
-rejecting one in its block or chunk; those answers are not counted and
-cannot change the report.  A ``TruthTable`` of at most 2^12 points is read
-whole once per run instead: ``violations.witness_table`` marks every point
-whose check finds a witness, and only the rejecting iteration's check is
-evaluated, for its certificate.  The reported queries stay those above.
+evaluate every round's x first, then y only for the rounds that can still
+reject: the 2-query tester where f(x) = 1; the 3-query tester y1 where
+f(x) = 0 and |y1| + |y2| >= |x| (y1 | y2 = x needs it), then y2 where also
+f(y1) = 1.  The first rejecting round in round order is reported; the
+reported queries are still 3 (2) per round.  Both use one call of the
+oracle's ``batch`` method per block or per stage of a chunk when it has
+one, and evaluate point by point otherwise, so an oracle may also see
+points of the iterations after the rejecting one in its block or chunk;
+those answers are not counted and cannot change the report.  A
+``TruthTable`` of at most 2^12 points is read whole once per witness-tester
+run instead: ``violations.witness_table`` marks every point whose check
+finds a witness, and only the rejecting iteration's check is evaluated, for
+its certificate.  The reported queries stay those above.
 
 Identical (f, config) therefore reproduces identical reports byte for byte,
 and iterations stay independent given the weight batch.
@@ -70,7 +77,8 @@ from .boolfn import (
     TruthTable,
     _answers,
     _batch_band_points,
-    _downset_weights,
+    _downset_class,
+    _downset_draws,
     _subsets,
     mid_band,
     sample_band_weights,
@@ -287,14 +295,23 @@ def uc_triple_tester(f, cfg: TesterConfig) -> TesterReport:
         xs = _batch_band_points(n, ws, rng)
         r1 = rows1.random((size, n))
         r2 = rows2.random((size, n))
-        js = _downset_weights(draws, n, band, np.repeat(ws, 2)).reshape(size, 2)
-        y1 = _subsets(xs, js[:, 0], r1)
-        y2 = _subsets(xs, js[:, 1], r2)
-        fx, f1, f2 = _answers(f, np.concatenate((xs, y1, y2))).reshape(3, size)
-        bad = np.flatnonzero((f1 == 1) & (f2 == 1) & ((y1 | y2) == xs) & (fx == 0))
+        us = _downset_draws(draws, n, band, np.repeat(ws, 2)).reshape(size, 2)
+        # a round can reject only if f(x) = 0 and |y1| + |y2| >= |x|, then f(y1) = 1
+        live = np.flatnonzero(_answers(f, xs) == 0)
+        w = ws[live]
+        j1, j2 = _downset_class(n, band, w[:, None], us[live]).T
+        fits = j1 + j2 >= w
+        live, j1, j2 = live[fits], j1[fits], j2[fits]
+        y1 = _subsets(xs[live], j1, r1[live])
+        hit = _answers(f, y1) == 1
+        live, y1 = live[hit], y1[hit]
+        x = xs[live]
+        y2 = _subsets(x, j2[hit], r2[live])
+        bad = np.flatnonzero((_answers(f, y2) == 1) & ((y1 | y2) == x))
         if bad.size:
-            i = int(bad[0])
-            cert = TripleCertificate(int(y1[i]), int(y2[i]), int(xs[i]))
+            k = int(bad[0])
+            i = int(live[k])
+            cert = TripleCertificate(int(y1[k]), int(y2[k]), int(x[k]))
             return TesterReport("reject", cert, 3 * (start + i + 1), start + i + 1, cfg.seed)
     return TesterReport("accept", None, 3 * rounds, rounds, cfg.seed)
 
@@ -317,12 +334,14 @@ def int_pair_tester(f, cfg: TesterConfig) -> TesterReport:
         size = stop - start
         xs = _batch_band_points(n, ws, rng)
         r = rows.random((size, n))
-        js = _downset_weights(draws, n, band, n - ws)
-        ys = _subsets(xs ^ full, js, r)
-        fx, fy = _answers(f, np.concatenate((xs, ys))).reshape(2, size)
-        bad = np.flatnonzero((fx == 1) & (fy == 1))
+        us = _downset_draws(draws, n, band, n - ws)
+        live = np.flatnonzero(_answers(f, xs) == 1)  # only f(x) = 1 can reject
+        js = _downset_class(n, band, n - ws[live], us[live])
+        ys = _subsets(xs[live] ^ full, js, r[live])
+        bad = np.flatnonzero(_answers(f, ys) == 1)
         if bad.size:
-            i = int(bad[0])
-            cert = IViolatingPair(int(ys[i]), int(xs[i]))
+            k = int(bad[0])
+            i = int(live[k])
+            cert = IViolatingPair(int(ys[k]), int(xs[i]))
             return TesterReport("reject", cert, 2 * (start + i + 1), start + i + 1, cfg.seed)
     return TesterReport("accept", None, 2 * rounds, rounds, cfg.seed)

@@ -1,9 +1,10 @@
 """The hard instances' semantics, one point at a time: the tests' reference.
 
 ``setfam.hardness`` states each instance's rule once, as its vector
-``batch``.  These scalar evaluators state the same rules again with Python
-ints and one term at a time, sharing with ``batch`` only the action-region
-rule ``_action_region``, so the tests can compare ``batch`` (and
+``batch``, and term satisfaction once, as ``_unique_terms``.  These scalar
+evaluators state the same rules again with Python ints and one term at a
+time, sharing with ``batch`` only the action-region rule
+``_action_region``, so the tests can compare ``batch`` (and
 ``_unique_terms``) against a statement that does not share its code.
 """
 
@@ -11,7 +12,21 @@ from __future__ import annotations
 
 import math
 
-from setfam.hardness import IntersectInstance, UcInstance, _action_region
+from setfam.hardness import IntersectInstance, TalagrandDnf, UcInstance, _action_region
+
+
+def sat_terms(dnf: TalagrandDnf, x: int) -> list[int]:
+    """Indices of terms whose coordinates all lie in supp(x)."""
+    return [i for i, t in enumerate(dnf.terms) if x & t == t]
+
+
+def sat_count(dnf: TalagrandDnf, x: int) -> int:
+    return sum(1 for t in dnf.terms if x & t == t)
+
+
+def dnf_value(dnf: TalagrandDnf, x: int) -> int:
+    """The DNF at x: 1 when some term is satisfied."""
+    return 1 if any(x & t == t for t in dnf.terms) else 0
 
 
 def unique_term(x: int, terms: tuple[int, ...]) -> int:

@@ -1,0 +1,97 @@
+"""The round testers evaluating every round: the tests' reference.
+
+``setfam.testers`` evaluates f(x) first and builds the subsets only for the
+rounds that can still reject.  These are the chunk bodies that build every
+round's x, y1 and y2 (x and y) and evaluate all of them in one call, with
+the subset rule written out as a per-row gather, so the tests can compare
+the testers' reports against a statement that evaluates every round.
+Both read the stream through the testers' own chunk and cursor helpers.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from setfam.boolfn import (
+    _answers,
+    _batch_band_points,
+    _downset_class,
+    _downset_draws,
+    _lowest,
+    mid_band,
+)
+from setfam.rng import stream
+from setfam.testers import (
+    TesterConfig,
+    TesterReport,
+    _chunks,
+    _segments,
+    _tau_rounds,
+    _weight_chunks,
+)
+from setfam.violations import IViolatingPair, TripleCertificate
+
+
+def downset_weights(rng, n: int, band, ws: np.ndarray) -> np.ndarray:
+    """Weight class j of a uniform banded-downset point below each weight ws[i]."""
+    return _downset_class(n, band, ws, _downset_draws(rng, n, band, ws))
+
+
+def subsets(xs: np.ndarray, sizes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per round i, the sizes[i]-subset of xs[i]'s bits that rows[i] selects.
+
+    The k-th set bit of xs[i], lowest first, takes the value rows[i, k]; the
+    subset is the bits with the sizes[i] smallest values.
+    """
+    n = rows.shape[1]
+    bits = ((xs[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)).astype(bool)
+    rank = np.maximum(np.cumsum(bits, axis=1) - 1, 0)
+    keys = np.where(bits, rows[np.arange(len(rows))[:, None], rank], np.inf)
+    return _lowest(keys, sizes)
+
+
+def uc_triple_tester(f, cfg: TesterConfig) -> TesterReport:
+    n = f.arity
+    band = mid_band(n, cfg.eps, widened=True)
+    rounds = _tau_rounds(cfg, n)
+    rng = stream(cfg.seed)
+    weights = _weight_chunks(n, band, rounds, rng)
+    rows1, rows2, draws = _segments(rng, rounds, n, 3)
+    for (start, stop), ws in zip(_chunks(rounds), weights):
+        size = stop - start
+        xs = _batch_band_points(n, ws, rng)
+        r1 = rows1.random((size, n))
+        r2 = rows2.random((size, n))
+        js = downset_weights(draws, n, band, np.repeat(ws, 2)).reshape(size, 2)
+        y1 = subsets(xs, js[:, 0], r1)
+        y2 = subsets(xs, js[:, 1], r2)
+        fx, f1, f2 = _answers(f, np.concatenate((xs, y1, y2))).reshape(3, size)
+        bad = np.flatnonzero((f1 == 1) & (f2 == 1) & ((y1 | y2) == xs) & (fx == 0))
+        if bad.size:
+            i = int(bad[0])
+            cert = TripleCertificate(int(y1[i]), int(y2[i]), int(xs[i]))
+            return TesterReport("reject", cert, 3 * (start + i + 1), start + i + 1, cfg.seed)
+    return TesterReport("accept", None, 3 * rounds, rounds, cfg.seed)
+
+
+def int_pair_tester(f, cfg: TesterConfig) -> TesterReport:
+    n = f.arity
+    full = np.uint64((1 << n) - 1)
+    band = mid_band(n, cfg.eps)
+    rounds = _tau_rounds(cfg, n)
+    rng = stream(cfg.seed)
+    weights = _weight_chunks(n, band, rounds, rng)
+    rows, draws = _segments(rng, rounds, n, 2)
+    for (start, stop), ws in zip(_chunks(rounds), weights):
+        size = stop - start
+        xs = _batch_band_points(n, ws, rng)
+        r = rows.random((size, n))
+        js = downset_weights(draws, n, band, n - ws)
+        ys = subsets(xs ^ full, js, r)
+        fx, fy = _answers(f, np.concatenate((xs, ys))).reshape(2, size)
+        bad = np.flatnonzero((fx == 1) & (fy == 1))
+        if bad.size:
+            i = int(bad[0])
+            cert = IViolatingPair(int(ys[i]), int(xs[i]))
+            return TesterReport("reject", cert, 2 * (start + i + 1), start + i + 1, cfg.seed)
+    return TesterReport("accept", None, 2 * rounds, rounds, cfg.seed)

@@ -14,8 +14,12 @@ from setfam.boolfn import (
     EnumerationCapError,
     QueryCounter,
     TruthTable,
+    _answers,
     _batch_band_points,
-    _downset_weights,
+    _downset_class,
+    _downset_draws,
+    _lowest,
+    _scatter,
     _subsets,
     band_weight_counts,
     const_function,
@@ -212,7 +216,8 @@ class TestSampling:
     def down_band_draws(x: int, band: Band, rng, draws: int) -> list[int]:
         """``draws`` uniform points of x's banded downset, drawn as the testers draw them."""
         n = x.bit_length()
-        js = _downset_weights(rng, n, band, np.full(draws, x.bit_count()))
+        ws = np.full(draws, x.bit_count())
+        js = _downset_class(n, band, ws, _downset_draws(rng, n, band, ws))
         return _subsets(np.full(draws, x, dtype=np.uint64), js, rng.random((draws, n))).tolist()
 
     def test_downset_sampler_stays_inside(self):
@@ -239,6 +244,35 @@ class TestSampling:
 
     def test_band_weight_counts(self):
         assert band_weight_counts(4, Band(1, 2)) == [4, 6]
+
+
+class TestEmptyInput:
+    """The round testers' later stages often keep no round at all."""
+
+    EMPTY = np.zeros(0, dtype=np.uint64)
+
+    @pytest.mark.parametrize("n", [1, 6, 9, 20, 63])
+    def test_subsets_of_no_rounds(self, n):
+        none = np.zeros(0, dtype=np.int64)
+        for got in (_subsets(self.EMPTY, none, np.zeros((0, n))),
+                    _lowest(np.zeros((0, n)), none),
+                    _scatter(self.EMPTY, self.EMPTY, np.zeros(0, dtype=np.intp))):
+            assert got.dtype == np.uint64 and got.shape == (0,)
+
+    def test_answers_at_no_points(self):
+        from setfam.hardness import build_int_instance, build_uc_instance
+
+        table = TruthTable.from_array(6, stream(44).random(64) < 0.5)
+        instances = [build_uc_instance("yes", 16, 0.5, 1), build_uc_instance("no", 16, 0.5, 2),
+                     build_int_instance("yes", 16, 0.5, 3), build_int_instance("no", 16, 0.5, 4),
+                     build_int_instance("one_sided_no", 60, 0.5, 5)]
+        oracles = [table, majority(10), const_function(5, 1), dictator(7, 3),
+                   BooleanFunction(6, table), QueryCounter(table), *instances,
+                   *(inst.function() for inst in instances)]
+        for f in oracles:
+            got = _answers(f, self.EMPTY)
+            assert got.dtype == np.uint8 and got.shape == (0,), f
+        assert BooleanFunction(6, table).batch is None  # the point-only path ran
 
 
 class TestQueryCounter:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setfam.boolfn import (
     EnumerationCapError,
@@ -275,6 +277,116 @@ class TestChunkedRounds:
             for alg in (uc_tester, int_tester, uc_triple_tester, int_pair_tester):
                 cfg = TesterConfig(eps=0.5, seed=k, max_iterations=300)
                 assert alg(point, cfg).to_json() == alg(table, cfg).to_json()
+
+
+class TestRoundCascade:
+    """The round testers build y only for rounds that can still reject.
+
+    ``reference_testers`` builds and evaluates every round of a chunk; the
+    reports must agree byte for byte.
+    """
+
+    ALGS = {"uc": (uc_triple_tester, "uc_triple_tester", 3),
+            "int": (int_pair_tester, "int_pair_tester", 2)}
+
+    @staticmethod
+    def both(kind, f, cfg):
+        import reference_testers as ref
+
+        alg, name, _ = TestRoundCascade.ALGS[kind]
+        return alg(f, cfg).to_json(), getattr(ref, name)(f, cfg).to_json()
+
+    @given(n=st.integers(1, 8), density=st.sampled_from([0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98]),
+           table_seed=st.integers(0, 2**16), kind=st.sampled_from(["uc", "int"]),
+           eps=st.sampled_from([0.1, 0.25, 0.5, 0.9]), seed=st.integers(0, 2**32),
+           rounds=st.integers(1, 300),
+           chunks=st.one_of(st.none(), st.tuples(st.integers(1, 6), st.integers(0, 12))))
+    @settings(max_examples=300)
+    def test_reports_match_the_every_round_reference(
+            self, n, density, table_seed, kind, eps, seed, rounds, chunks):
+        import setfam.testers as T
+
+        f = TruthTable.from_array(n, stream(table_seed, n).random(1 << n) < density)
+        cfg = TesterConfig(eps=eps, seed=seed, max_iterations=rounds)
+        with pytest.MonkeyPatch.context() as mp:
+            if chunks is not None:
+                mp.setattr(T, "CHUNK_MIN", chunks[0])
+                mp.setattr(T, "CHUNK_MAX", chunks[0] + chunks[1])
+            got, want = self.both(kind, f, cfg)
+        assert got == want
+
+    def test_grid_covers_accepts_first_round_and_late_rejects(self, monkeypatch):
+        import json
+
+        import setfam.testers as T
+
+        monkeypatch.setattr(T, "CHUNK_MIN", 2)
+        monkeypatch.setattr(T, "CHUNK_MAX", 8)
+        seen = {"uc": set(), "int": set()}
+        for n in range(1, 9):
+            for k, density in enumerate((0.05, 0.2, 0.5, 0.8, 0.97)):
+                f = TruthTable.from_array(n, stream(90, n, k).random(1 << n) < density)
+                for kind in ("uc", "int"):
+                    for seed in range(8):
+                        cfg = TesterConfig(eps=0.5, seed=seed, max_iterations=120)
+                        got, want = self.both(kind, f, cfg)
+                        assert got == want, (n, density, kind, seed)
+                        rep = json.loads(got)
+                        seen[kind].add("accept" if rep["verdict"] == "accept" else
+                                       "first" if rep["iterations_run"] == 1 else
+                                       "late" if rep["iterations_run"] > 14 else "early")
+        assert {"accept", "first", "late"} <= seen["uc"] & seen["int"], seen
+
+    class Recording:
+        """Oracle that records the points of every batch call."""
+
+        def __init__(self, f):
+            self.arity, self.f, self.calls = f.arity, f, []
+
+        def __call__(self, x):
+            raise AssertionError("the round testers evaluate through batch")
+
+        def batch(self, xs):
+            self.calls.append(np.array(xs))
+            return self.f.batch(xs)
+
+    @pytest.mark.parametrize("kind", ["uc", "int"])
+    def test_each_chunk_evaluates_at_most_every_round(self, kind):
+        import setfam.testers as T
+
+        alg, _, per_round = self.ALGS[kind]
+        for k, density in enumerate((0.1, 0.5, 0.9)):
+            f = self.Recording(TruthTable.from_array(6, stream(91, k).random(64) < density))
+            rep = alg(f, TesterConfig(eps=0.5, seed=k, max_iterations=5000))
+            assert rep.queries == per_round * rep.iterations_run
+            chunks = list(T._chunks(5000))
+            assert len(f.calls) % per_round == 0
+            for c in range(len(f.calls) // per_round):
+                start, stop = chunks[c]
+                sizes = [len(a) for a in f.calls[per_round * c: per_round * (c + 1)]]
+                assert sizes[0] == stop - start  # every x
+                assert sizes == sorted(sizes, reverse=True)
+                assert sum(sizes) <= per_round * (stop - start)
+            if rep.verdict == "reject":  # nothing past the rejecting round's chunk
+                start, stop = chunks[len(f.calls) // per_round - 1]
+                assert start < rep.iterations_run <= stop
+
+    @pytest.mark.parametrize("kind, value", [("uc", 1), ("int", 0)])
+    def test_a_constant_that_cannot_reject_evaluates_only_the_xs(self, kind, value):
+        import reference_testers as ref
+
+        from setfam.boolfn import const_function
+
+        alg, name, per_round = self.ALGS[kind]
+        cfg = TesterConfig(eps=0.5, seed=7, max_iterations=20000)
+        f = self.Recording(const_function(6, value))
+        rep = alg(f, cfg)
+        assert rep.verdict == "accept" and rep.queries == per_round * rep.iterations_run == per_round * 20000
+        every = self.Recording(const_function(6, value))
+        getattr(ref, name)(every, cfg)
+        xs = [a[: len(a) // per_round] for a in every.calls]  # each call is x, then the ys
+        assert [len(a) for a in f.calls] == [n for a in xs for n in (len(a),) + (0,) * (per_round - 1)]
+        assert np.concatenate(f.calls).tolist() == np.concatenate(xs).tolist()
 
 
 class TestWitnessBlocks:
