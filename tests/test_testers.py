@@ -321,13 +321,13 @@ class TestRoundCascade:
         import setfam.testers as T
 
         monkeypatch.setattr(T, "CHUNK_MIN", 2)
-        monkeypatch.setattr(T, "CHUNK_MAX", 8)
+        monkeypatch.setattr(T, "CHUNK_MAX", 16)
         seen = {"uc": set(), "int": set()}
         for n in range(1, 9):
             for k, density in enumerate((0.05, 0.2, 0.5, 0.8, 0.97)):
                 f = TruthTable.from_array(n, stream(90, n, k).random(1 << n) < density)
                 for kind in ("uc", "int"):
-                    for seed in range(8):
+                    for seed in range(5):
                         cfg = TesterConfig(eps=0.5, seed=seed, max_iterations=120)
                         got, want = self.both(kind, f, cfg)
                         assert got == want, (n, density, kind, seed)

@@ -15,8 +15,8 @@ end-to-end metric, the parent's and the change's median and quartiles
 (``statistics.quantiles`` n=4), the median's change in percent, the pairs
 in which the change did better, and whether every run was correct with no
 failed operation; plus each run's figures, the machine, the versions and
-both commits.  A record takes about 50 minutes: four workloads, ten pairs,
-two runs of 25 s plus set-up in each.
+both commits.  A record of four workloads took about two hours on a
+2-core machine: each run adds its set-up samples to the 25 s it measures.
 """
 
 from __future__ import annotations
