@@ -28,6 +28,8 @@ from setfam.testers import (
     uc_triple_tester,
 )
 
+import reference_testers
+
 bits = parse_bits
 
 
@@ -279,6 +281,20 @@ class TestChunkedRounds:
                 assert alg(point, cfg).to_json() == alg(table, cfg).to_json()
 
 
+class Recording:
+    """Oracle that records the points of every batch call."""
+
+    def __init__(self, f):
+        self.arity, self.f, self.calls = f.arity, f, []
+
+    def __call__(self, x):
+        raise AssertionError("the testers evaluate through batch")
+
+    def batch(self, xs):
+        self.calls.append(np.array(xs))
+        return self.f.batch(xs)
+
+
 class TestRoundCascade:
     """The round testers build y only for rounds that can still reject.
 
@@ -286,15 +302,12 @@ class TestRoundCascade:
     reports must agree byte for byte.
     """
 
-    ALGS = {"uc": (uc_triple_tester, "uc_triple_tester", 3),
-            "int": (int_pair_tester, "int_pair_tester", 2)}
+    ALGS = {"uc": (uc_triple_tester, 3), "int": (int_pair_tester, 2)}  # tester, queries per round
 
     @staticmethod
     def both(kind, f, cfg):
-        import reference_testers as ref
-
-        alg, name, _ = TestRoundCascade.ALGS[kind]
-        return alg(f, cfg).to_json(), getattr(ref, name)(f, cfg).to_json()
+        alg, _ = TestRoundCascade.ALGS[kind]
+        return alg(f, cfg).to_json(), getattr(reference_testers, alg.__name__)(f, cfg).to_json()
 
     @given(n=st.integers(1, 8), density=st.sampled_from([0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98]),
            table_seed=st.integers(0, 2**16), kind=st.sampled_from(["uc", "int"]),
@@ -337,26 +350,13 @@ class TestRoundCascade:
                                        "late" if rep["iterations_run"] > 14 else "early")
         assert {"accept", "first", "late"} <= seen["uc"] & seen["int"], seen
 
-    class Recording:
-        """Oracle that records the points of every batch call."""
-
-        def __init__(self, f):
-            self.arity, self.f, self.calls = f.arity, f, []
-
-        def __call__(self, x):
-            raise AssertionError("the round testers evaluate through batch")
-
-        def batch(self, xs):
-            self.calls.append(np.array(xs))
-            return self.f.batch(xs)
-
     @pytest.mark.parametrize("kind", ["uc", "int"])
     def test_each_chunk_evaluates_at_most_every_round(self, kind):
         import setfam.testers as T
 
-        alg, _, per_round = self.ALGS[kind]
+        alg, per_round = self.ALGS[kind]
         for k, density in enumerate((0.1, 0.5, 0.9)):
-            f = self.Recording(TruthTable.from_array(6, stream(91, k).random(64) < density))
+            f = Recording(TruthTable.from_array(6, stream(91, k).random(64) < density))
             rep = alg(f, TesterConfig(eps=0.5, seed=k, max_iterations=5000))
             assert rep.queries == per_round * rep.iterations_run
             chunks = list(T._chunks(5000))
@@ -373,43 +373,29 @@ class TestRoundCascade:
 
     @pytest.mark.parametrize("kind, value", [("uc", 1), ("int", 0)])
     def test_a_constant_that_cannot_reject_evaluates_only_the_xs(self, kind, value):
-        import reference_testers as ref
-
         from setfam.boolfn import const_function
 
-        alg, name, per_round = self.ALGS[kind]
+        alg, per_round = self.ALGS[kind]
         cfg = TesterConfig(eps=0.5, seed=7, max_iterations=20000)
-        f = self.Recording(const_function(6, value))
+        f = Recording(const_function(6, value))
         rep = alg(f, cfg)
         assert rep.verdict == "accept" and rep.queries == per_round * rep.iterations_run == per_round * 20000
-        every = self.Recording(const_function(6, value))
-        getattr(ref, name)(every, cfg)
+        every = Recording(const_function(6, value))
+        getattr(reference_testers, alg.__name__)(every, cfg)
         xs = [a[: len(a) // per_round] for a in every.calls]  # each call is x, then the ys
-        assert [len(a) for a in f.calls] == [n for a in xs for n in (len(a),) + (0,) * (per_round - 1)]
+        stages = [len(a) if stage == 0 else 0 for a in xs for stage in range(per_round)]
+        assert [len(a) for a in f.calls] == stages
         assert np.concatenate(f.calls).tolist() == np.concatenate(xs).tolist()
 
 
 class TestWitnessBlocks:
-    class Recording:
-        """Oracle that records the size of every batch call."""
-
-        def __init__(self, f):
-            self.arity, self.f, self.calls = f.arity, f, []
-
-        def __call__(self, x):
-            raise AssertionError("the witness testers evaluate through batch")
-
-        def batch(self, xs):
-            self.calls.append(len(xs))
-            return self.f.batch(xs)
-
     def test_early_reject_evaluates_one_block_not_its_chunk(self):
         from setfam.boolfn import BLOCK, const_function
 
-        f = self.Recording(const_function(16, 1))
+        f = Recording(const_function(16, 1))
         rep = int_tester(f, TesterConfig(eps=0.25, seed=4, max_iterations=64))
         assert rep.verdict == "reject" and rep.iterations_run == 1
-        assert len(f.calls) == 1 and f.calls[0] <= BLOCK
+        assert len(f.calls) == 1 and len(f.calls[0]) <= BLOCK
         # the whole chunk would have been several blocks
         chunk = int_tester(const_function(16, 0),
                            TesterConfig(eps=0.25, seed=4, max_iterations=64))
