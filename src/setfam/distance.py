@@ -13,9 +13,16 @@ all union-closed tables, which caps it at n <= 4.
 Dense property checks use one subset-OR transform over the whole cube
 (``violations.witness_table`` with the band [0, n]): U[z], the union of the
 1-inputs inside z, is z exactly when z is a union of 1-inputs, so a 0-input
-with U[z] = z breaks union-closedness and the closure is the 1-inputs plus
-those points; a 1-input inside the complement of a 1-input breaks
-intersectingness.
+with U[z] = z breaks union-closedness; a 1-input inside the complement of a
+1-input breaks intersectingness.
+
+The union closure is a table: the 1-inputs plus the 0-inputs with U[z] = z,
+from the same transform once the table outgrows one machine word (n > 6),
+and from a pairwise fixed point below that.  Its 0 -> 1 flips,
+``closure & ~f``, are exactly the points that end a violating tuple, so
+``repair_uc`` returns them, ``end_distinct_tuple_count`` is their popcount
+and ``disjoint_tuple_count_lb`` takes its candidate ends from them, in
+ascending order.
 """
 
 from __future__ import annotations
@@ -28,11 +35,10 @@ import numpy as np
 
 from .boolfn import Band, ResourceCapError, TruthTable, popcount_array
 from .violations import (
-    _STATE_CAP,
     UcViolatingTuple,
-    _disjointness_graph,
-    _strip_isolated,
+    _minimal_tuple,
     max_disjoint_i_pairs,
+    min_disjoint_cover,
     witness_table,
 )
 
@@ -46,7 +52,7 @@ __all__ = [
     "repair_uc",
     "end_distinct_tuple_count",
     "disjoint_tuple_count_lb",
-    "union_closure_ones",
+    "union_closure",
     "make_tuple_from_end",
 ]
 
@@ -117,68 +123,6 @@ def is_intersecting(f: TruthTable) -> bool:
     return True
 
 
-# -- minimum vertex cover (exact, tiny graphs) ----------------------------------
-
-
-def _vc_size(avail: int, adj: list[int], memo: dict[int, int]) -> int:
-    avail = _strip_isolated(avail, adj)
-    if avail == 0:
-        return 0
-    got = memo.get(avail)
-    if got is not None:
-        return got
-    if len(memo) > _STATE_CAP:
-        raise ResourceCapError("vertex-cover search exceeded the state cap")
-    # degree-1 reduction: covering the neighbor dominates covering the pendant
-    m = avail
-    while m:
-        low = m & -m
-        nb = adj[low.bit_length() - 1] & avail
-        if nb and nb & (nb - 1) == 0:
-            res = 1 + _vc_size(avail & ~(low | nb), adj, memo)
-            memo[avail] = res
-            return res
-        m ^= low
-    # branch on a maximum-degree vertex: either it is in the cover, or its
-    # whole neighborhood is
-    best_v, best_deg = -1, -1
-    m = avail
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        deg = (adj[v] & avail).bit_count()
-        if deg > best_deg:
-            best_v, best_deg = v, deg
-        m ^= low
-    nb = adj[best_v] & avail
-    take_v = 1 + _vc_size(avail & ~(1 << best_v), adj, memo)
-    take_nb = nb.bit_count() + _vc_size(avail & ~(nb | (1 << best_v)), adj, memo)
-    res = min(take_v, take_nb)
-    memo[avail] = res
-    return res
-
-
-def _vc_witness(avail: int, adj: list[int], memo: dict[int, int]) -> list[int]:
-    cover = []
-    while True:
-        avail = _strip_isolated(avail, adj)
-        if avail == 0:
-            return cover
-        size = _vc_size(avail, adj, memo)
-        # find any vertex whose inclusion is consistent with the optimum
-        m = avail
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            if adj[v] & avail and 1 + _vc_size(avail & ~low, adj, memo) == size:
-                cover.append(v)
-                avail &= ~low
-                break
-            m ^= low
-        else:  # pragma: no cover - unreachable if sizes are consistent
-            raise AssertionError("vertex-cover reconstruction failed")
-
-
 def dist_int_bounds(f: TruthTable, max_ones: int = 30) -> tuple[DistanceResult, DistanceResult]:
     """Certified bracket [|M|, 2|M|]/2^n from a maximum disjoint-pair set.
 
@@ -200,16 +144,10 @@ def dist_int_exact(f: TruthTable, max_ones: int = 30) -> DistanceResult:
     verified intersecting before returning.
     """
     _check_table_arity(f, 16)
-    zero, ones, adj = _disjointness_graph(f, max_ones, "cover")
-    memo: dict[int, int] = {}
-    cover_idx = _vc_witness((1 << len(ones)) - 1, adj, memo)
-    cover = ([0] if zero else []) + [ones[i] for i in cover_idx]  # 0^n: self-loop
-    bits = f.bits
-    for p in cover:
-        bits &= ~(1 << p)
-    cert = TruthTable(f.arity, bits)
+    cover = min_disjoint_cover(f, max_ones)
+    cert = TruthTable(f.arity, f.bits & ~cover)
     assert is_intersecting(cert)
-    return DistanceResult(len(cover), 1 << f.arity, "vertex-cover", cert)
+    return DistanceResult(cover.bit_count(), 1 << f.arity, "vertex-cover", cert)
 
 
 # -- exhaustive union-closed distance (n <= 4) ----------------------------------
@@ -246,27 +184,30 @@ def dist_uc_exact(f: TruthTable) -> DistanceResult:
 # -- union closure, repair, and tuple counts -------------------------------------
 
 
-def union_closure_ones(f: TruthTable) -> set[int]:
-    """All unions of nonempty subsets of f's 1-inputs."""
+def _dense_closure(n: int) -> bool:
+    # the fixed point costs |closure| x |ones| big-int shifts; past one
+    # machine word the subset-OR transform costs less at every density
+    return n > 6
+
+
+def union_closure(f: TruthTable) -> TruthTable:
+    """The table of all unions of nonempty subsets of f's 1-inputs."""
     _check_table_arity(f, 20)
-    if _prefer_dense(f.arity, f.count_ones()):
+    if _dense_closure(f.arity):
         # the 1-inputs and the 0-inputs that are the union of the 1-inputs below them
-        closed = witness_table(f, Band(0, f.arity), True) | (f.as_array() != 0)
-        return set(np.flatnonzero(closed).tolist())
+        closed = witness_table(f, Band(0, f.arity), True)
+        closed |= f.as_array() != 0
+        return TruthTable.from_array(f.arity, closed)
     ones = f.ones()
-    closed = set(ones)
+    bits = f.bits
     queue = list(ones)
-    while queue:
+    while queue:  # each closed point joins the queue once and meets every 1-input
         a = queue.pop()
-        new = []
-        for b in closed:
-            u = a | b
-            if u not in closed:
-                new.append(u)
-        for u in new:
-            closed.add(u)
-            queue.append(u)
-    return closed
+        for u in ones:
+            if not (bits >> (a | u)) & 1:
+                bits |= 1 << (a | u)
+                queue.append(a | u)
+    return TruthTable(f.arity, bits)
 
 
 def repair_uc(f: TruthTable) -> tuple[TruthTable, frozenset[int]]:
@@ -276,17 +217,9 @@ def repair_uc(f: TruthTable) -> tuple[TruthTable, frozenset[int]]:
     off the end set B (points that end some violating tuple) and flips exactly
     B, so |B| >= 2^n * dist to union-closedness.
     """
-    closure = union_closure_ones(f)
-    bits = f.bits
-    flipped = []
-    g_bits = bits
-    for p in closure:
-        if not (bits >> p) & 1:
-            flipped.append(p)
-            g_bits |= 1 << p
-    g = TruthTable(f.arity, g_bits)
+    g = union_closure(f)
     assert is_union_closed(g)
-    return g, frozenset(flipped)
+    return g, frozenset(TruthTable(f.arity, g.bits & ~f.bits).ones())
 
 
 def end_distinct_tuple_count(f: TruthTable, band: Band | None = None) -> int:
@@ -295,65 +228,33 @@ def end_distinct_tuple_count(f: TruthTable, band: Band | None = None) -> int:
     With a band, tuple members are restricted to band weights (the end point
     itself is unrestricted).
     """
-    if band is None:
-        base = f
-    else:
-        bits = 0
-        for p in f.ones():
-            if p.bit_count() in band:
-                bits |= 1 << p
-        base = TruthTable(f.arity, bits)
+    base = f
+    if band is not None:
+        weights = np.bitwise_count(np.arange(1 << f.arity, dtype=np.uint32))
+        base = TruthTable.from_array(
+            f.arity, f.as_array() & (weights >= band.lo) & (weights <= band.hi))
     if base.bits == 0:
         return 0
-    closure = union_closure_ones(base)
-    f_bits = f.bits
-    return sum(1 for p in closure if not (f_bits >> p) & 1)
-
-
-def _minimalize(members: list[int], end: int) -> tuple[int, ...]:
-    keep = sorted(members)
-    i = 0
-    while i < len(keep):
-        union = 0
-        for j, m in enumerate(keep):
-            if j != i:
-                union |= m
-        if union == end:
-            keep.pop(i)
-        else:
-            i += 1
-    return tuple(keep)
+    return (union_closure(base).bits & ~f.bits).bit_count()
 
 
 def disjoint_tuple_count_lb(f: TruthTable) -> int:
     """Size of a maximal family of point-disjoint minimal violating tuples.
 
-    Greedy extraction in one ascending pass over candidate end points: the
+    Greedy extraction in one ascending pass over the end points: the
     available-point set only shrinks, so an end that fails once can never
     become extractable later, and the resulting family is maximal against all
     violating tuples (members get minimalized before points are consumed).
     The count m certifies m disjoint tuples, hence dist >= m/2^n.
     """
     _check_table_arity(f, 16)
-    ones = f.ones()
-    candidates = sorted(union_closure_ones(f) - set(ones)) if ones else []
-    available = set(ones)
-    available_ends = set(candidates)
+    available = set(f.ones())
     count = 0
-    for z in candidates:
-        if z not in available_ends:
-            continue
-        members = sorted(u for u in available if u & z == u)
-        union = 0
-        for m in members:
-            union |= m
-        if union != z:
-            continue
-        tup = _minimalize(members, z)
-        count += 1
-        for m in tup:
-            available.discard(m)
-        available_ends.discard(z)
+    for z in TruthTable(f.arity, union_closure(f).bits & ~f.bits).ones():
+        members = _minimal_tuple(available, z)
+        if members is not None:
+            count += 1
+            available.difference_update(members)
     return count
 
 
@@ -361,10 +262,5 @@ def make_tuple_from_end(f: TruthTable, z: int) -> UcViolatingTuple | None:
     """Minimal violating tuple ending at z, if z ends one (test/CLI helper)."""
     if f(z) == 1:
         return None
-    members = [u for u in f.ones() if u & z == u]
-    union = 0
-    for m in members:
-        union |= m
-    if not members or union != z:
-        return None
-    return UcViolatingTuple(_minimalize(members, z), z)
+    members = _minimal_tuple(f.ones(), z)
+    return None if members is None else UcViolatingTuple(members, z)

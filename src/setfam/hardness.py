@@ -326,9 +326,41 @@ def _action_regions(a: int) -> np.ndarray:
     return table
 
 
-def _oracle(arity: int, batch) -> BooleanFunction:
-    """An instance's black-box view: ``batch``, and one point's value as a one-point batch."""
-    return BooleanFunction(arity, lambda x: int(batch(np.array([x], dtype=np.uint64))[0]), batch)
+class _Instance:
+    """Both instance families' shared methods; ``family`` prefixes the JSON kind."""
+
+    @property
+    def action_mask(self) -> int:
+        return _mask_of(self.action_coords)
+
+    def function(self) -> BooleanFunction:
+        """The black-box view: ``batch``, and one point's value as a one-point batch."""
+        batch = self.batch
+        return BooleanFunction(
+            self.arity, lambda x: int(batch(np.array([x], dtype=np.uint64))[0]), batch)
+
+    def materialize(self) -> TruthTable:
+        """Full table over 2^arity points."""
+        if self.arity > MAX_TABLE_ARITY:
+            raise ResourceCapError(f"materialize is capped at arity <= {MAX_TABLE_ARITY}")
+        return TruthTable.from_array(self.arity, self.batch(np.arange(1 << self.arity, dtype=np.uint64)))
+
+    def to_json_obj(self) -> dict:
+        return {
+            "kind": f"{self.family}-{self.kind.replace('_', '-')}",
+            "n": self.n,
+            "eps": self.eps,
+            "seed": self.seed,
+            "arity": self.arity,
+        }
+
+
+def _unique_term_counts(dnf: TalagrandDnf) -> np.ndarray:
+    """Per term, the control assignments that satisfy it and no other, by a scan of all of them."""
+    if dnf.n > 22:
+        raise ResourceCapError("control space too large to scan")
+    ell = _unique_terms(np.arange(1 << dnf.n, dtype=np.uint64), dnf.terms)
+    return np.bincount(ell[ell >= 0], minlength=dnf.num_terms)
 
 
 # -- intersectingness instances ---------------------------------------------------
@@ -337,7 +369,7 @@ INT_KINDS = ("yes", "no", "one_sided_no")
 
 
 @dataclass(frozen=True)
-class IntersectInstance:
+class IntersectInstance(_Instance):
     """Hard instance for intersectingness testing, over arity n + 2.
 
     A point is (x, y1, y2): x on [n], then the selector pair, bits n and
@@ -368,13 +400,11 @@ class IntersectInstance:
     term_masks: tuple[int, ...]  # embedded on the control coordinates
     b: tuple[int, ...]
 
+    family = "int"
+
     @property
     def arity(self) -> int:
         return self.n + 2
-
-    @property
-    def action_mask(self) -> int:
-        return _mask_of(self.action_coords)
 
     def batch(self, us: np.ndarray) -> np.ndarray:
         """The instance's value at every point of a uint64 array, as uint8."""
@@ -409,24 +439,6 @@ class IntersectInstance:
         out = np.zeros(len(us), dtype=np.uint8)
         out[live] = hit
         return out[:size]
-
-    def function(self) -> BooleanFunction:
-        return _oracle(self.arity, self.batch)
-
-    def materialize(self) -> TruthTable:
-        """Full table over 2^(n+2) points."""
-        if self.arity > MAX_TABLE_ARITY:
-            raise ResourceCapError(f"materialize is capped at arity <= {MAX_TABLE_ARITY}")
-        return TruthTable.from_array(self.arity, self.batch(np.arange(1 << self.arity, dtype=np.uint64)))
-
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": f"int-{self.kind.replace('_', '-')}",
-            "n": self.n,
-            "eps": self.eps,
-            "seed": self.seed,
-            "arity": self.arity,
-        }
 
 
 def build_int_instance(kind: str, n: int, eps: float, seed: int) -> IntersectInstance:
@@ -472,12 +484,7 @@ def count_int_no_violations(inst: IntersectInstance) -> int:
         return 0
     if inst.kind == "one_sided_no":
         return _count_one_sided_pairs(inst)
-    m = inst.n - inst.a
-    if m > 22:
-        raise ResourceCapError("control space too large to scan")
-    assert inst.dnf is not None
-    ell = _unique_terms(np.arange(1 << m, dtype=np.uint64), inst.dnf.terms)
-    per_term = np.bincount(ell[ell >= 0], minlength=inst.dnf.num_terms)
+    per_term = _unique_term_counts(inst.dnf)
     good = sum(int(c) for c, bl in zip(per_term, inst.b) if bl == 1)
     return good * _bottom_region_count(inst.a)
 
@@ -517,7 +524,7 @@ UC_KINDS = ("yes", "no")
 
 
 @dataclass(frozen=True)
-class UcInstance:
+class UcInstance(_Instance):
     """Hard instance for union-closedness testing, over arity n.
 
     eps must be a power of 1/2; the action set has log2(1/eps) coordinates
@@ -541,13 +548,11 @@ class UcInstance:
     r: tuple[int, ...]  # no: embedded low points of the antipodal pairs
     b: tuple[int, ...]  # no: per-term activation bits
 
+    family = "uc"
+
     @property
     def arity(self) -> int:
         return self.n
-
-    @property
-    def action_mask(self) -> int:
-        return _mask_of(self.action_coords)
 
     def batch(self, xs: np.ndarray) -> np.ndarray:
         """The instance's value at every point of a uint64 array, as uint8."""
@@ -567,23 +572,6 @@ class UcInstance:
                 continue
             out |= (ell == i) & hit
         return out.astype(np.uint8)[:size]
-
-    def function(self) -> BooleanFunction:
-        return _oracle(self.n, self.batch)
-
-    def materialize(self) -> TruthTable:
-        if self.n > MAX_TABLE_ARITY:
-            raise ResourceCapError(f"materialize is capped at arity <= {MAX_TABLE_ARITY}")
-        return TruthTable.from_array(self.n, self.batch(np.arange(1 << self.n, dtype=np.uint64)))
-
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": f"uc-{self.kind}",
-            "n": self.n,
-            "eps": self.eps,
-            "seed": self.seed,
-            "arity": self.arity,
-        }
 
 
 def _log2_inverse(eps: float) -> int:
@@ -638,11 +626,7 @@ def count_uc_no_violations(inst: UcInstance) -> int:
     """
     if inst.kind == "yes":
         return 0
-    c = inst.n - inst.a
-    if c > 22:
-        raise ResourceCapError("control space too large to scan")
-    ell = _unique_terms(np.arange(1 << c, dtype=np.uint64), inst.dnf.terms)
-    per_term = np.bincount(ell[ell >= 0], minlength=inst.dnf.num_terms)
+    per_term = _unique_term_counts(inst.dnf)
     amask = inst.action_mask
     return sum(int(k) for k, bl, r in zip(per_term, inst.b, inst.r)
                if bl == 1 and r not in (0, amask))

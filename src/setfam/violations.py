@@ -29,6 +29,7 @@ from .boolfn import (
     down_band_blocks,
     down_band_counts,
     enumerate_down_band,  # noqa: F401  (benchmark/spans.py patches it here by name)
+    popcount_array,
 )
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "witness_scan",
     "witness_table",
     "is_minimal_tuple",
+    "min_disjoint_cover",
     "max_disjoint_i_pairs",
     "level_matching",
     "augment_tuple",
@@ -315,19 +317,35 @@ def witness_check_int(
     return witness_scan(f, np.array([x], dtype=np.uint64), band, False, cap)[1]
 
 
-def is_minimal_tuple(t: UcViolatingTuple) -> bool:
-    """Every member contributes a coordinate the others do not cover."""
-    k = len(t.members)
-    if k == 0:
-        return False
-    for j in range(k):
+def _minimal_tuple(points, end: int) -> tuple[int, ...] | None:
+    """The points below end, minimalized, if they are nonempty and their union is end.
+
+    Minimalized: ascending, with each point dropped in turn while the others
+    still cover end, so no member of the result can be dropped.
+    """
+    keep = sorted(p for p in points if p & end == p)
+    union = 0
+    for m in keep:
+        union |= m
+    if not keep or union != end:
+        return None
+    i = 0
+    while i < len(keep):
         union = 0
-        for i, m in enumerate(t.members):
-            if i != j:
+        for j, m in enumerate(keep):
+            if j != i:
                 union |= m
-        if union == t.end:
-            return False
-    return True
+        if union == end:
+            keep.pop(i)
+        else:
+            i += 1
+    return tuple(keep)
+
+
+def is_minimal_tuple(t: UcViolatingTuple) -> bool:
+    """The members cover the end, and each adds a coordinate the others do not cover."""
+    kept = _minimal_tuple(t.members, t.end)
+    return kept is not None and len(kept) == len(t.members)
 
 
 # -- the disjointness graph on 1-inputs -----------------------------------------
@@ -374,6 +392,83 @@ def _strip_isolated(avail: int, adj: list[int]) -> int:
             out ^= low
         m ^= low
     return out
+
+
+# -- exact minimum vertex cover on the disjointness graph -----------------------
+
+
+def _vc_size(avail: int, adj: list[int], memo: dict[int, int]) -> int:
+    avail = _strip_isolated(avail, adj)
+    if avail == 0:
+        return 0
+    got = memo.get(avail)
+    if got is not None:
+        return got
+    if len(memo) > _STATE_CAP:
+        raise ResourceCapError("vertex-cover search exceeded the state cap")
+    # degree-1 reduction: covering the neighbor dominates covering the pendant
+    m = avail
+    while m:
+        low = m & -m
+        nb = adj[low.bit_length() - 1] & avail
+        if nb and nb & (nb - 1) == 0:
+            res = 1 + _vc_size(avail & ~(low | nb), adj, memo)
+            memo[avail] = res
+            return res
+        m ^= low
+    # branch on a maximum-degree vertex: either it is in the cover, or its
+    # whole neighborhood is
+    best_v, best_deg = -1, -1
+    m = avail
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        deg = (adj[v] & avail).bit_count()
+        if deg > best_deg:
+            best_v, best_deg = v, deg
+        m ^= low
+    nb = adj[best_v] & avail
+    take_v = 1 + _vc_size(avail & ~(1 << best_v), adj, memo)
+    take_nb = nb.bit_count() + _vc_size(avail & ~(nb | (1 << best_v)), adj, memo)
+    res = min(take_v, take_nb)
+    memo[avail] = res
+    return res
+
+
+def _vc_witness(avail: int, adj: list[int], memo: dict[int, int]) -> list[int]:
+    cover = []
+    while True:
+        avail = _strip_isolated(avail, adj)
+        if avail == 0:
+            return cover
+        size = _vc_size(avail, adj, memo)
+        # find any vertex whose inclusion is consistent with the optimum
+        m = avail
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            if adj[v] & avail and 1 + _vc_size(avail & ~low, adj, memo) == size:
+                cover.append(v)
+                avail &= ~low
+                break
+            m ^= low
+        else:  # pragma: no cover - unreachable if sizes are consistent
+            raise AssertionError("vertex-cover reconstruction failed")
+
+
+def min_disjoint_cover(f: TruthTable, max_vertices: int = 30) -> int:
+    """Minimum vertex cover of the disjointness graph on f's 1-inputs, as a point mask.
+
+    Every disjoint pair of 1-inputs has a point in the cover, so f with the
+    cover set to 0 is intersecting; 0^n, a 1-input disjoint from itself, is
+    always in it.  Exact search, memoised, under the same caps as
+    :func:`max_disjoint_i_pairs`.
+    """
+    zero, ones, adj = _disjointness_graph(f, max_vertices, "cover")
+    cover = int(zero)
+    for i in _vc_witness((1 << len(ones)) - 1, adj, {}):
+        cover |= 1 << ones[i]
+    return cover
 
 
 # -- exact maximum matching on the disjointness graph -------------------------
@@ -546,21 +641,22 @@ def locality(c: TripleCertificate) -> int:
 
 
 def min_violation_locality(f: TruthTable, max_ones: int = 4096) -> int | None:
-    """Minimum locality over all violating triples of f; None if union-closed."""
+    """Minimum locality over all violating triples of f; None if union-closed.
+
+    Each 1-input's pairs with the later 1-inputs are looked up together.
+    """
     if f.arity > 20:
         raise ResourceCapError("min_violation_locality is capped at n <= 20")
-    ones = f.ones()
+    ones = np.array(f.ones(), dtype=np.uint64)
     if len(ones) > max_ones:
         raise ResourceCapError(f"{len(ones)} one-inputs exceeds cap {max_ones}")
+    values = f.as_array()
+    weights = popcount_array(ones)
     best: int | None = None
-    bits = f.bits
-    for i, u in enumerate(ones):
-        wu = u.bit_count()
-        for v in ones[i + 1:]:
-            z = u | v
-            if (bits >> z) & 1:
-                continue
-            loc = 2 * z.bit_count() - wu - v.bit_count()
-            if best is None or loc < best:
-                best = loc
+    for i in range(len(ones) - 1):
+        z = ones[i] | ones[i + 1:]
+        bad = values[z] == 0
+        if bad.any():
+            loc = int((2 * popcount_array(z[bad]) - weights[i] - weights[i + 1:][bad]).min())
+            best = loc if best is None else min(best, loc)
     return best

@@ -17,7 +17,7 @@ from setfam.distance import (
     is_union_closed,
     make_tuple_from_end,
     repair_uc,
-    union_closure_ones,
+    union_closure,
 )
 
 bits = parse_bits
@@ -145,13 +145,13 @@ class TestPropertyChecks:
             if k == 3:
                 ones = sorted(_union_closure(ones))
             f = TruthTable.from_ones(12, ones)
-            assert D._prefer_dense(12, len(ones))
-            dense = union_closure_ones(f)
+            assert D._dense_closure(12)
+            dense = union_closure(f)
             with monkeypatch.context() as m:
-                m.setattr(D, "_prefer_dense", lambda n, k: False)
-                assert union_closure_ones(f) == dense
-            assert (0 in dense) == (k % 2 == 1)
-            assert len(dense) > len(ones) or k == 3
+                m.setattr(D, "_dense_closure", lambda n: False)
+                assert union_closure(f) == dense
+            assert dense(0) == (k % 2 == 1)
+            assert dense.count_ones() > len(ones) or k == 3
 
 
 def _union_closure(sets) -> set[int]:
@@ -368,7 +368,7 @@ class TestClosure:
     @settings(max_examples=200)
     def test_closure_is_union_closed_superset(self, tbl):
         f = TruthTable(4, tbl)
-        closure = union_closure_ones(f)
+        closure = set(union_closure(f).ones())
         assert set(f.ones()) <= closure
         for a in closure:
             for b in closure:
@@ -379,3 +379,113 @@ class TestClosure:
         t = make_tuple_from_end(f, 3)
         assert t is not None and t.holds_for(f)
         assert make_tuple_from_end(f, 7) is None
+
+
+def brute_closure(ones: list[int]) -> set[int]:
+    """Every union of a nonempty subset of ones: grow by one 1-input at a time."""
+    closed = set(ones)
+    frontier = list(ones)
+    while frontier:
+        grown = {a | u for a in frontier for u in ones} - closed
+        closed |= grown
+        frontier = list(grown)
+    return closed
+
+
+def greedy_minimal(points, end: int) -> tuple[int, ...] | None:
+    """The points below end, ascending, each dropped in turn while the rest cover end."""
+    keep = sorted(p for p in points if p & ~end == 0)
+    if not keep or _union(keep) != end:
+        return None
+    i = 0
+    while i < len(keep):
+        if _union(keep[:i] + keep[i + 1:]) == end:
+            del keep[i]
+        else:
+            i += 1
+    return tuple(keep)
+
+
+def _union(points) -> int:
+    out = 0
+    for p in points:
+        out |= p
+    return out
+
+
+class TestClosureReaders:
+    """The closure table and its readers against brute force, on each closure path."""
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @given(st.integers(1, 10), st.sampled_from([0.02, 0.1, 0.3, 0.6, 0.95]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_readers_match_brute_force(self, dense, n, density, seed):
+        import numpy as np
+
+        import setfam.distance as D
+        from setfam.violations import UcViolatingTuple, is_minimal_tuple, min_violation_locality
+
+        rng = np.random.default_rng(seed)
+        f = TruthTable.from_array(n, rng.random(1 << n) < density)
+        ones = f.ones()
+        closure = brute_closure(ones)
+        ends = sorted(closure - set(ones))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(D, "_dense_closure", lambda _: dense)
+            assert set(union_closure(f).ones()) == closure
+            g, flipped = repair_uc(f)
+            assert set(g.ones()) == closure and flipped == frozenset(ends)
+            assert end_distinct_tuple_count(f) == len(ends)
+            lo, hi = sorted(int(w) for w in rng.integers(0, n + 1, size=2))
+            members = [u for u in ones if lo <= u.bit_count() <= hi]
+            banded = brute_closure(members) - set(ones)
+            assert end_distinct_tuple_count(f, Band(lo, hi)) == len(banded)
+            available, count = set(ones), 0
+            for z in ends:
+                tup = greedy_minimal(available, z)
+                if tup is not None:
+                    count += 1
+                    available -= set(tup)
+            assert disjoint_tuple_count_lb(f) == count
+        for z in range(1 << n):
+            t = make_tuple_from_end(f, z)
+            assert (t is not None) == (z in ends)
+            if t is not None:
+                assert t.members == greedy_minimal(ones, z) and t.holds_for(f)
+                assert is_minimal_tuple(t)
+        for _ in range(20):
+            pts = [int(p) for p in rng.integers(0, 1 << n, size=int(rng.integers(0, 5)))]
+            end = _union(pts) if rng.random() < 0.7 else int(rng.integers(0, 1 << n))
+            minimal = bool(pts) and _union(pts) == end and all(
+                _union(pts[:j] + pts[j + 1:]) != end for j in range(len(pts)))
+            assert is_minimal_tuple(UcViolatingTuple(tuple(pts), end)) == minimal
+        locs = [2 * (u | v).bit_count() - u.bit_count() - v.bit_count()
+                for i, u in enumerate(ones) for v in ones[i + 1:] if not f(u | v)]
+        assert min_violation_locality(f) == (min(locs) if locs else None)
+
+    def test_the_path_follows_the_table_size(self, monkeypatch):
+        import setfam.distance as D
+
+        calls = []
+        real = D.witness_table
+        monkeypatch.setattr(D, "witness_table", lambda *a: calls.append(a) or real(*a))
+        union_closure(TruthTable.from_ones(6, [1, 2, 4]))
+        assert not calls  # one machine word: the pairwise fixed point
+        union_closure(TruthTable.from_ones(7, [1, 2, 4]))
+        assert len(calls) == 1  # the subset-OR transform
+
+    def test_closure_peak_memory_at_n20(self):
+        import tracemalloc
+
+        import numpy as np
+
+        f = TruthTable.from_array(20, np.random.default_rng(20).random(1 << 20) < 0.5)
+        tracemalloc.start()
+        try:
+            g = union_closure(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.bits & f.bits == f.bits and g.count_ones() > f.count_ones()
+        assert peak < 32 << 20

@@ -14,9 +14,10 @@ BENCH_<change commit>.json at the repository root: per workload and
 end-to-end metric, the parent's and the change's median and quartiles
 (``statistics.quantiles`` n=4), the median's change in percent, the pairs
 in which the change did better, and whether every run was correct with no
-failed operation; plus each run's figures, the machine, the versions and
-both commits.  A record of four workloads took about two hours on a
-2-core machine: each run adds its set-up samples to the 25 s it measures.
+failed operation; plus each run's figures, the machine, the versions, and
+both commits with the line count of their src/setfam.  A record of four
+workloads took about two hours on a 2-core machine: each run adds its
+set-up samples to the 25 s it measures.
 """
 
 from __future__ import annotations
@@ -49,6 +50,11 @@ def checkout(commit: str, into: Path) -> Path:
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
     return into
+
+
+def source_lines(tree: Path) -> int:
+    """Lines of the package source, src/setfam/*.py, in tree."""
+    return sum(len(p.read_text().splitlines()) for p in (tree / "src" / "setfam").glob("*.py"))
 
 
 def bench(tree: Path, workload: str, seed: int) -> dict:
@@ -121,7 +127,8 @@ def main(argv: list[str]) -> int:
                            "--trace 0' in a checkout of the committed files; parent first in "
                            "even pairs; quartiles by statistics.quantiles(n=4); change_wins "
                            "counts the pairs in which the change did better.",
-            "commits": {side: {"commit": c, "subject": git("log", "-1", "--format=%s", c)}
+            "commits": {side: {"commit": c, "subject": git("log", "-1", "--format=%s", c),
+                               "src_setfam_lines": source_lines(trees[side])}
                         for side, c in commits.items()},
             "machine": machine(),
             "workloads": {},
