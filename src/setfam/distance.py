@@ -185,8 +185,8 @@ def dist_uc_exact(f: TruthTable) -> DistanceResult:
 
 
 def _dense_closure(n: int) -> bool:
-    # the fixed point costs |closure| x |ones| big-int shifts; past one
-    # machine word the subset-OR transform costs less at every density
+    # the fixed point costs |closure| x |ones| shifts (up to 4^n), the
+    # transform n 2^n plus numpy's call overhead, which one word cannot repay
     return n > 6
 
 

@@ -155,12 +155,13 @@ class TestPropertyChecks:
 
 
 def _union_closure(sets) -> set[int]:
+    """Every union of a nonempty subset of sets: grow by one member at a time."""
     closed = set(sets)
-    while True:
-        grown = closed | {a | b for a in closed for b in closed}
-        if grown == closed:
-            return closed
-        closed = grown
+    frontier = list(closed)
+    while frontier:
+        frontier = list({a | u for a in frontier for u in sets} - closed)
+        closed.update(frontier)
+    return closed
 
 
 def brute_union_closed_masks(n: int) -> list[int]:
@@ -381,17 +382,6 @@ class TestClosure:
         assert make_tuple_from_end(f, 7) is None
 
 
-def brute_closure(ones: list[int]) -> set[int]:
-    """Every union of a nonempty subset of ones: grow by one 1-input at a time."""
-    closed = set(ones)
-    frontier = list(ones)
-    while frontier:
-        grown = {a | u for a in frontier for u in ones} - closed
-        closed |= grown
-        frontier = list(grown)
-    return closed
-
-
 def greedy_minimal(points, end: int) -> tuple[int, ...] | None:
     """The points below end, ascending, each dropped in turn while the rest cover end."""
     keep = sorted(p for p in points if p & ~end == 0)
@@ -429,7 +419,7 @@ class TestClosureReaders:
         rng = np.random.default_rng(seed)
         f = TruthTable.from_array(n, rng.random(1 << n) < density)
         ones = f.ones()
-        closure = brute_closure(ones)
+        closure = _union_closure(ones)
         ends = sorted(closure - set(ones))
         with pytest.MonkeyPatch.context() as m:
             m.setattr(D, "_dense_closure", lambda _: dense)
@@ -439,7 +429,7 @@ class TestClosureReaders:
             assert end_distinct_tuple_count(f) == len(ends)
             lo, hi = sorted(int(w) for w in rng.integers(0, n + 1, size=2))
             members = [u for u in ones if lo <= u.bit_count() <= hi]
-            banded = brute_closure(members) - set(ones)
+            banded = _union_closure(members) - set(ones)
             assert end_distinct_tuple_count(f, Band(lo, hi)) == len(banded)
             available, count = set(ones), 0
             for z in ends:
