@@ -66,6 +66,13 @@ DEFAULT_ENUMERATION_CAP = 2**28
 #: Larger blocks left their memory resident in the allocator.
 BLOCK = 1 << 12
 
+#: Points per oracle evaluation of :meth:`TruthTable.from_callable`.  The
+#: int-no instance at arity 18 peaks at 2.0 MiB this way, 8.0 MiB in one
+#: call.  It takes 6.2 ms (one call: 6.5 ms) in a process that has freed
+#: a large array, and 10.9 ms (9.9 ms) in one that has not yet.  Blocks of
+#: BLOCK points took 11-12 ms either way.
+TABLE_BLOCK = 1 << 15
+
 
 class ResourceCapError(RuntimeError):
     """A computation would exceed a configured resource cap."""
@@ -276,8 +283,8 @@ class TruthTable:
             raise ValueError(f"cannot materialize arity {n} > {MAX_TABLE_ARITY}")
         size = 1 << n
         values = np.empty(size, dtype=np.uint8)
-        for lo in range(0, size, BLOCK):
-            hi = min(size, lo + BLOCK)
+        for lo in range(0, size, TABLE_BLOCK):
+            hi = min(size, lo + TABLE_BLOCK)
             values[lo:hi] = _answers(f, np.arange(lo, hi, dtype=np.uint64)) != 0
         return cls.from_array(n, values)
 
@@ -663,14 +670,23 @@ def sample_band_weights(n: int, band: Band, rng: np.random.Generator, size: int)
     """Weight classes for ``size`` uniform draws from the banded cube (n <= 63).
 
     Class j is hit with probability C(n,j)/sum over the band, using exact
-    integer arithmetic.  One ``integers(0, total, size)`` draw.
+    integer arithmetic: j - band.lo is the number of cumulative class sizes
+    at most the draw of :func:`_band_draws`.
     """
-    totals, cum = _downset_classes(n, band)
-    if totals[n] == 0:
-        raise ValueError(f"band {band} is empty on {{0..{n}}}")
-    us = rng.integers(0, totals[n], size=size, dtype=np.uint64)
-    idx = np.searchsorted(cum[n], us, side="right")
+    _, cum = _downset_classes(n, band)
+    idx = np.searchsorted(cum[n], _band_draws(n, band, rng, size), side="right")
     return np.asarray(band.lo + idx, dtype=np.int64)
+
+
+def _band_draws(n: int, band: Band, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` uniform draws over the banded cube's points, as uint64.
+
+    One ``integers(0, total, size)`` call; an empty band raises ValueError.
+    """
+    total = _downset_classes(n, band)[0][n]
+    if total == 0:
+        raise ValueError(f"band {band} is empty on {{0..{n}}}")
+    return rng.integers(0, total, size=size, dtype=np.uint64)
 
 
 def _downset_draws(
@@ -685,23 +701,72 @@ def _downset_draws(
     return rng.integers(0, totals[ws], dtype=np.uint64)
 
 
+@lru_cache(maxsize=256)
+def _downset_bounds(n: int, band: Band) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(bounds, starts, first): every weight's cumulative class sizes in one sorted array.
+
+    Weight w's sizes are shifted by starts[w], the sum of the totals below
+    w, and begin at bounds[first[w]].  The sum of all totals is below 2^64
+    for n <= 63, so the shifted sizes stay exact in uint64.
+    """
+    totals, cum = _downset_classes(n, band)
+    starts = np.zeros(n + 1, dtype=np.uint64)
+    starts[1:] = np.cumsum(totals[:-1])
+    classes = cum != np.iinfo(np.uint64).max  # the padding is no class
+    counts = classes.sum(axis=1)
+    bounds = cum[classes] + np.repeat(starts, counts)
+    first = np.cumsum(counts) - counts
+    bounds.flags.writeable = starts.flags.writeable = first.flags.writeable = False
+    return bounds, starts, first
+
+
 def _downset_class(n: int, band: Band, ws: np.ndarray, us: np.ndarray) -> np.ndarray:
     """Weight class j of each draw u of us below its weight in ws (broadcast).
 
-    j is band.lo plus the number of cumulative class sizes <= u.
+    j is band.lo plus the number of weight w's cumulative class sizes <= u,
+    found by one ``searchsorted`` of starts[w] + u over every weight's
+    shifted sizes (:func:`_downset_bounds`).
     """
-    _, cum = _downset_classes(n, band)
-    return band.lo + (cum[ws] <= us[..., None]).sum(axis=-1)
+    bounds, starts, first = _downset_bounds(n, band)
+    return band.lo + np.searchsorted(bounds, starts[ws] + us, side="right") - first[ws]
+
+
+#: From this many rows (and up to n = 16 columns) _lowest ranks columns.
+_RANK_ROWS = 2048
 
 
 def _lowest(keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Per row i, the point whose bits are the columns of its counts[i] smallest keys.
 
     Equal keys go to the lower column, as in a stable per-row argsort.
+    Column c is taken when fewer than counts[i] columns come before it.
+    From _RANK_ROWS rows on, for n <= 16, that rank is counted with one
+    comparison per column pair instead of a per-row argsort.  The n(n-1)/2
+    comparisons each pass over all rows, so the sort stays cheaper on short
+    chunks, whose cost is mostly per call, and on wide rows.  Microseconds
+    for argsort / rank, one process:
+
+        n    64 rows    1,024 rows    8,192 rows
+        4    12 / 38    107 / 81      964 / 168
+        6    14 / 92    158 / 162     1,465 / 331
+        12   15 / 255   336 / 562     2,766 / 1,296
+        16   27 / 622   460 / 757     4,057 / 1,535
+
+    At n = 30 and 2,000 rows the argsort wins, 1,615 against 3,034.
     """
-    order = keys.argsort(axis=1, kind="stable")
-    taken = _COLUMN[: keys.shape[1]] < counts[:, None]
-    return (_BIT[order] * taken).sum(axis=1, dtype=np.uint64)
+    rows, n = keys.shape
+    if rows < _RANK_ROWS or n > 16:
+        order = keys.argsort(axis=1, kind="stable")
+        taken = _COLUMN[:n] < counts[:, None]
+        return (_BIT[order] * taken).sum(axis=1, dtype=np.uint64)
+    cols = keys.T
+    rank = np.zeros((n, rows), dtype=np.uint8)
+    for c in range(n):
+        for d in range(c + 1, n):
+            before = cols[d] < cols[c]  # d comes before c; on equal keys c does
+            rank[c] += before
+            rank[d] += ~before
+    return (_BIT[:n, None] * (rank < counts)).sum(axis=0, dtype=np.uint64)
 
 
 def _batch_band_points(n: int, weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -340,10 +340,10 @@ class _Instance:
             self.arity, lambda x: int(batch(np.array([x], dtype=np.uint64))[0]), batch)
 
     def materialize(self) -> TruthTable:
-        """Full table over 2^arity points."""
+        """Full table over 2^arity points, evaluated a block at a time."""
         if self.arity > MAX_TABLE_ARITY:
             raise ResourceCapError(f"materialize is capped at arity <= {MAX_TABLE_ARITY}")
-        return TruthTable.from_array(self.arity, self.batch(np.arange(1 << self.arity, dtype=np.uint64)))
+        return TruthTable.from_callable(self)
 
     def to_json_obj(self) -> dict:
         return {

@@ -76,6 +76,7 @@ from .boolfn import (
     ResourceCapError,
     TruthTable,
     _answers,
+    _band_draws,
     _batch_band_points,
     _downset_class,
     _downset_draws,
@@ -214,13 +215,14 @@ def _weight_chunks(
     its end is found by drawing it once, and a cursor at its start draws it
     again chunk by chunk.  Chunked draws give the values of one batch call,
     because bounded draws under 2^32 take their 32-bit halves from the bit
-    generator's own buffer.
+    generator's own buffer.  The first pass makes only the batch's
+    ``integers`` calls (``boolfn._band_draws``), not its class lookups.
     """
     if rounds <= CHUNK_MIN:
         return iter([sample_band_weights(n, band, rng, rounds)])
     reader = _cursor(rng, 0)
     for start, stop in _chunks(rounds):
-        sample_band_weights(n, band, rng, stop - start)
+        _band_draws(n, band, rng, stop - start)
     return (sample_band_weights(n, band, reader, stop - start)
             for start, stop in _chunks(rounds))
 

@@ -5,7 +5,9 @@ rounds that can still reject.  These are the chunk bodies that build every
 round's x, y1 and y2 (x and y) and evaluate all of them in one call, with
 the subset rule written out as a per-row gather, so the tests can compare
 the testers' reports against a statement that evaluates every round.
-Both read the stream through the testers' own chunk and cursor helpers.
+Both read the stream through the testers' own chunk and cursor helpers,
+but pick points and downset classes with the plain kernels below: a stable
+per-row argsort and a compare-sum over the padded cumulative class sizes.
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ from __future__ import annotations
 import numpy as np
 
 from setfam.boolfn import (
+    _BIT,
     _answers,
-    _batch_band_points,
-    _downset_class,
+    _downset_classes,
     _downset_draws,
-    _lowest,
     mid_band,
 )
 from setfam.rng import stream
@@ -32,9 +33,28 @@ from setfam.testers import (
 from setfam.violations import IViolatingPair, TripleCertificate
 
 
+def lowest(keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per row i, the point whose bits are the columns of its counts[i] smallest keys.
+
+    Equal keys go to the lower column: a stable per-row argsort.
+    """
+    order = keys.argsort(axis=1, kind="stable")
+    taken = np.arange(keys.shape[1]) < counts[:, None]
+    return (_BIT[order] * taken).sum(axis=1, dtype=np.uint64)
+
+
+def downset_class(n: int, band, ws: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """Weight class j of each draw u of us below its weight in ws (broadcast).
+
+    j is band.lo plus the number of cumulative class sizes <= u.
+    """
+    _, cum = _downset_classes(n, band)
+    return band.lo + (cum[ws] <= us[..., None]).sum(axis=-1)
+
+
 def downset_weights(rng, n: int, band, ws: np.ndarray) -> np.ndarray:
     """Weight class j of a uniform banded-downset point below each weight ws[i]."""
-    return _downset_class(n, band, ws, _downset_draws(rng, n, band, ws))
+    return downset_class(n, band, ws, _downset_draws(rng, n, band, ws))
 
 
 def subsets(xs: np.ndarray, sizes: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -47,7 +67,7 @@ def subsets(xs: np.ndarray, sizes: np.ndarray, rows: np.ndarray) -> np.ndarray:
     bits = ((xs[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)).astype(bool)
     rank = np.maximum(np.cumsum(bits, axis=1) - 1, 0)
     keys = np.where(bits, rows[np.arange(len(rows))[:, None], rank], np.inf)
-    return _lowest(keys, sizes)
+    return lowest(keys, sizes)
 
 
 def uc_triple_tester(f, cfg: TesterConfig) -> TesterReport:
@@ -59,7 +79,7 @@ def uc_triple_tester(f, cfg: TesterConfig) -> TesterReport:
     rows1, rows2, draws = _segments(rng, rounds, n, 3)
     for (start, stop), ws in zip(_chunks(rounds), weights):
         size = stop - start
-        xs = _batch_band_points(n, ws, rng)
+        xs = lowest(rng.random((size, n)), ws)
         r1 = rows1.random((size, n))
         r2 = rows2.random((size, n))
         js = downset_weights(draws, n, band, np.repeat(ws, 2)).reshape(size, 2)
@@ -84,7 +104,7 @@ def int_pair_tester(f, cfg: TesterConfig) -> TesterReport:
     rows, draws = _segments(rng, rounds, n, 2)
     for (start, stop), ws in zip(_chunks(rounds), weights):
         size = stop - start
-        xs = _batch_band_points(n, ws, rng)
+        xs = lowest(rng.random((size, n)), ws)
         r = rows.random((size, n))
         js = downset_weights(draws, n, band, n - ws)
         ys = subsets(xs ^ full, js, r)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from setfam.boolfn import (
     BLOCK,
+    TABLE_BLOCK,
     Band,
     BooleanFunction,
     EnumerationCapError,
@@ -17,6 +18,7 @@ from setfam.boolfn import (
     _answers,
     _batch_band_points,
     _downset_class,
+    _downset_classes,
     _downset_draws,
     _lowest,
     _scatter,
@@ -37,6 +39,8 @@ from setfam.boolfn import (
     truncate_uc,
 )
 from setfam.rng import stream
+
+import reference_testers
 
 
 def bits(s: str) -> int:
@@ -246,6 +250,56 @@ class TestSampling:
         assert band_weight_counts(4, Band(1, 2)) == [4, 6]
 
 
+class TestRoundKernels:
+    """The round testers' kernels against the plain ones in ``reference_testers``."""
+
+    @given(n=st.one_of(st.integers(1, 16), st.integers(17, 63)),
+           rows=st.sampled_from([0, 1, 2047, 2048, 4096]),
+           keys=st.sampled_from(["distinct", "ties", "padded"]), seed=st.integers(0, 2**32))
+    @settings(max_examples=120)
+    def test_lowest_matches_the_stable_argsort(self, n, rows, keys, seed):
+        rng = stream(seed)
+        values = rng.random((rows, n))
+        counts = rng.integers(0, n + 1, rows)
+        if keys == "ties":  # few distinct keys, so most columns tie
+            values = rng.integers(0, 3, (rows, n)).astype(float)
+        elif keys == "padded":  # as _subsets pads the columns past a point's weight
+            values[np.arange(n) >= rng.integers(0, n + 1, rows)[:, None]] = np.inf
+        got = _lowest(values, counts)
+        assert got.dtype == np.uint64
+        assert got.tolist() == reference_testers.lowest(values, counts).tolist()
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_downset_class_matches_the_compare_sum_at_every_draw(self, n):
+        for band in {Band(0, n), Band(1, n - 1), mid_band(n, 0.5), mid_band(n, 0.9, widened=True),
+                     Band(n // 2, n // 2), Band(n, n), Band(0, 0)}:
+            totals, _ = _downset_classes(n, band)
+            ws = np.repeat(np.arange(n + 1), totals.astype(np.intp))
+            us = np.concatenate([np.arange(t, dtype=np.uint64) for t in totals])
+            want = reference_testers.downset_class(n, band, ws, us)
+            assert _downset_class(n, band, ws, us).tolist() == want.tolist(), band
+            # a (k, 1) x (k, 2) broadcast: each draw and its mirror below the same weight
+            pairs = np.stack((us, totals[ws] - np.uint64(1) - us), axis=1)
+            got = _downset_class(n, band, ws[:, None], pairs)
+            assert got.shape == pairs.shape
+            assert got.tolist() == reference_testers.downset_class(n, band, ws[:, None], pairs).tolist()
+            empty = _downset_class(n, band, ws[:0], us[:0])
+            assert empty.shape == (0,) and empty.dtype.kind == "i"
+
+    @pytest.mark.parametrize("n", [20, 40, 62, 63])
+    def test_downset_class_stays_exact_near_2_to_the_64(self, n):
+        # the shifted class sizes sum to nearly 2^64; a float anywhere loses them
+        rng = stream(96, n)
+        for band in (Band(0, n), mid_band(n, 0.5), Band(1, 2)):
+            totals, _ = _downset_classes(n, band)
+            ws = rng.integers(band.lo, n + 1, 2000)
+            us = rng.integers(0, totals[ws], dtype=np.uint64)
+            edges = np.concatenate((us, totals[ws] - np.uint64(1), us * np.uint64(0)))
+            ws = np.tile(ws, 3)
+            want = reference_testers.downset_class(n, band, ws, edges)
+            assert _downset_class(n, band, ws, edges).tolist() == want.tolist(), band
+
+
 class TestEmptyInput:
     """The round testers' later stages often keep no round at all."""
 
@@ -330,12 +384,12 @@ class TestBuiltins:
 
         def batch(xs):
             calls.append(len(xs))
-            return majority(14).batch(xs)
+            return majority(16).batch(xs)
 
-        f = BooleanFunction(14, lambda x: 1 / 0, batch)
+        f = BooleanFunction(16, lambda x: 1 / 0, batch)
         table = TruthTable.from_callable(f)
-        assert table == TruthTable.from_callable(BooleanFunction(14, majority(14)))
-        assert sum(calls) == 1 << 14 and max(calls) <= BLOCK
+        assert table == TruthTable.from_callable(BooleanFunction(16, majority(16)))
+        assert calls == [TABLE_BLOCK] * ((1 << 16) // TABLE_BLOCK)
 
 
 class TestTruthTableFormats:

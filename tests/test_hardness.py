@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from setfam.boolfn import TruthTable
 from setfam.violations import TripleCertificate
 from setfam.distance import dist_int_exact, is_intersecting, is_union_closed
 from setfam.hardness import (
@@ -191,6 +192,21 @@ class TestIntersectInstances:
         for _ in range(500):
             u = int(rng.integers(0, 1 << inst.arity))
             assert table(u) == f(u)
+
+    def test_materialize_evaluates_in_bounded_blocks(self):
+        # one batch over all 2^18 points peaked at 8 MiB; blocks of 2^15 take 2 MiB
+        import tracemalloc
+
+        inst = build_int_instance("no", 16, 0.5, 1)
+        whole = TruthTable.from_array(18, inst.batch(np.arange(1 << 18, dtype=np.uint64)))
+        tracemalloc.start()
+        try:
+            table = inst.materialize()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table == whole
+        assert peak < 4 * 2**20, peak
 
     def test_one_sided_explicit_violating_pair(self):
         # wa = 0 sits below n/200 - K at this eps; pair x with the point

@@ -1,5 +1,6 @@
 """Tester behaviour: completeness, soundness, accounting, determinism."""
 
+import json
 import math
 
 import numpy as np
@@ -265,6 +266,14 @@ class TestChunkedRounds:
         monkeypatch.setattr(T, "CHUNK_MAX", 7)
         assert [alg(f, cfg).to_json() for alg, f, cfg in runs] == before
 
+    @pytest.mark.parametrize("rounds", [10, 1000])
+    def test_an_empty_band_raises_for_one_chunk_or_many(self, rounds):
+        import setfam.testers as T
+        from setfam.boolfn import Band
+
+        with pytest.raises(ValueError, match="is empty"):
+            list(T._weight_chunks(4, Band(3, 2), rounds, stream(1)))
+
     @pytest.mark.parametrize("n", [2, 4, 7])
     def test_point_oracle_gives_the_batch_oracle_report(self, n):
         # a BooleanFunction made without batch is evaluated point by point;
@@ -329,8 +338,6 @@ class TestRoundCascade:
         assert got == want
 
     def test_grid_covers_accepts_first_round_and_late_rejects(self, monkeypatch):
-        import json
-
         import setfam.testers as T
 
         monkeypatch.setattr(T, "CHUNK_MIN", 2)
@@ -349,6 +356,33 @@ class TestRoundCascade:
                                        "first" if rep["iterations_run"] == 1 else
                                        "late" if rep["iterations_run"] > 14 else "early")
         assert {"accept", "first", "late"} <= seen["uc"] & seen["int"], seen
+
+    def test_default_chunks_match_the_reference_past_the_rank_switch(self, monkeypatch):
+        # chunks of 2,048 rounds and more pick points by column ranks; the
+        # late rejects fall in such a chunk, the accepting runs reach 8,192
+        import setfam.boolfn as B
+
+        large = []
+        lowest = B._lowest
+        monkeypatch.setattr(B, "_lowest", lambda keys, counts: (
+            large.append(len(keys) >= B._RANK_ROWS) or lowest(keys, counts)))
+        rounds = 16320
+        for n in (5, 6, 9):
+            dictator_ones = [x for x in range(1 << n) if x & 1]
+            accept = {"uc": TruthTable.from_ones(n, [x ^ 1 for x in dictator_ones]),
+                      "int": TruthTable.from_ones(n, dictator_ones)}
+            k, seed = {5: (0, 7), 6: (1, 0), 9: (1, 7)}[n]  # uc table and seed, int seed
+            late = {"uc": (TruthTable.from_array(n, stream(95, n, k).random(1 << n) < 0.05), k),
+                    "int": (TruthTable.from_ones(n, [0]), seed)}
+            for kind in ("uc", "int"):
+                large.clear()
+                got, want = self.both(kind, accept[kind], TesterConfig(0.5, n, rounds))
+                assert got == want and '"verdict":"accept"' in got, (n, kind)
+                assert large.count(True) >= 4, (n, kind)  # points and subsets, in two chunks
+                f, seed = late[kind]
+                got, want = self.both(kind, f, TesterConfig(0.5, seed, rounds))
+                assert got == want, (n, kind)
+                assert '"verdict":"reject"' in got and json.loads(got)["iterations_run"] > 1984
 
     @pytest.mark.parametrize("kind", ["uc", "int"])
     def test_each_chunk_evaluates_at_most_every_round(self, kind):
