@@ -3,8 +3,10 @@
 ``golden_tables.json`` holds, per instance (kind, n, eps, seed), the
 SHA-256 of ``materialize().to_bftt1()`` and, for no-instances, the
 ``count_*_no_violations`` certificate; the answers of an
-``int-one-sided-no`` instance at n=61 on fixed points; and
-``unique_sat_probability`` results at fixed streams.  The tester corpus
+``int-one-sided-no`` instance at n=61 on fixed points;
+``unique_sat_probability`` results at fixed streams; and
+``estimate_bad_probability`` results, called directly and through
+``setfam sweep --what bad-event``.  The tester corpus
 pins only the points that testers query; these pin whole tables, so a
 change to how an instance decides its unique satisfied term shows up here.
 Each table is also compared, point by point, with the scalar evaluators of
@@ -19,15 +21,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from setfam.boolfn import TruthTable
+from setfam.cli import main as cli_main
 from setfam.hardness import (
+    BadEventParams,
     count_int_no_violations,
     count_uc_no_violations,
+    estimate_bad_probability,
     load_instance,
     unique_sat_probability,
 )
@@ -85,6 +91,27 @@ UNIQUE_SAT = [
 ]
 
 
+_X63 = 0x5555555555555555 >> 1
+BAD_EVENT = [
+    # a = 1: the pair goes Bad exactly when the action coordinate is bit 0
+    {"points": [(1 << 13) - 1, (1 << 13) - 2], "construction": "uc", "n": 13,
+     "eps": 0.5, "trials": 4000, "seed": 3},
+    # six points of three action-weight extremes: nonzero, with 15 pairs
+    {"points": [((1 << 25) - 1) ^ (7 << k) for k in (0, 3, 6)]
+     + [(1 << 12) - 1, (1 << 14) - 1, (1 << 15) - 2], "construction": "intersect",
+     "n": 25, "eps": 1.0, "trials": 20000, "seed": 9},
+    # 126,954 terms of 20 coordinates: one trial spans many draw blocks
+    {"points": [_X63, _X63 ^ ((1 << 63) - 1)], "construction": "intersect", "n": 63,
+     "eps": 0.3, "trials": 3, "seed": 5},
+]
+
+BAD_EVENT_SWEEPS = [
+    ["sweep", "--what", "bad-event", "--ns", "16", "--epss", "0.5", "--trials", "20000",
+     "--construction", construction, "--pair", pair]
+    for construction in ("intersect", "uc") for pair in ("antipodal", "random")
+]
+
+
 def table_hash(table: TruthTable) -> str:
     return hashlib.sha256(table.to_bftt1()).hexdigest()
 
@@ -103,6 +130,20 @@ def unique_sat(spec: dict) -> dict:
     return res.to_json_obj()
 
 
+def bad_event(spec: dict) -> dict:
+    params = BadEventParams(tuple(spec["points"]), spec["construction"], spec["trials"])
+    return estimate_bad_probability(params, spec["n"], spec["eps"], spec["seed"]).to_json_obj()
+
+
+def sweep_rows(argv: list[str]) -> list[str]:
+    """The CSV header and rows of a CLI run, without its comment lines."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.csv"
+        assert cli_main(argv + ["--out", str(out)]) == 0
+        text = out.read_text()
+    return [line for line in text.splitlines() if not line.startswith("#")]
+
+
 def write_golden() -> None:
     tables = []
     for spec in instance_specs():
@@ -116,6 +157,9 @@ def write_golden() -> None:
         "tables": tables,
         "one_sided": {"instance": ONE_SIDED, "points": points, "answers": answers},
         "unique_sat": [{**spec, "result": unique_sat(spec)} for spec in UNIQUE_SAT],
+        "bad_event": [{**spec, "result": bad_event(spec)} for spec in BAD_EVENT],
+        "bad_event_sweeps": [{"argv": argv, "rows": sweep_rows(argv)}
+                             for argv in BAD_EVENT_SWEEPS],
     }
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
 
@@ -160,6 +204,23 @@ def test_one_sided_answers_match_golden():
                          ids=lambda c: f"n{c['n']}-eps{c['eps']}-t{c['trials']}")
 def test_unique_sat_probability_matches_golden(case):
     assert unique_sat(case) == case["result"]
+
+
+@pytest.mark.parametrize("case", GOLDEN.get("bad_event", []),
+                         ids=lambda c: f"{c['construction']}-n{c['n']}-eps{c['eps']}")
+def test_bad_probability_matches_golden(case):
+    assert bad_event(case) == case["result"]
+
+
+def test_bad_event_golden_has_a_nonzero_estimate():
+    assert [c["argv"] for c in GOLDEN["bad_event_sweeps"]] == BAD_EVENT_SWEEPS
+    assert any(c["result"]["estimate"] > 0 for c in GOLDEN["bad_event"])
+
+
+@pytest.mark.parametrize("case", GOLDEN.get("bad_event_sweeps", []),
+                         ids=lambda c: "-".join(c["argv"][-3::2]))
+def test_bad_event_sweep_matches_golden(case):
+    assert sweep_rows(case["argv"]) == case["rows"]
 
 
 if __name__ == "__main__":
