@@ -240,8 +240,9 @@ def unique_sat_probability(
     per_weight = {}
     total_hits = 0
     for w in weights:
-        hits = sum(int(np.count_nonzero(counts == 1))
-                   for counts in _sat_counts(rng, n, w, trials, num_terms, term_size))
+        runs = _term_draws(rng, n, trials, num_terms, term_size,
+                           lambda lo, draws: (draws < w).all(axis=-1))
+        hits = sum(int(np.count_nonzero(count == 1)) for count, _ in runs)
         lo, hi = wilson_interval(hits, trials)
         per_weight[w] = (hits / trials, lo, hi)
         total_hits += hits
@@ -251,28 +252,35 @@ def unique_sat_probability(
     return UniqueSatResult(n, eps, trials, per_weight, pooled)
 
 
-def _sat_counts(rng: np.random.Generator, n: int, w: int, trials: int,
-                num_terms: int, term_size: int) -> Iterator[np.ndarray]:
-    """Satisfied-term counts at the canonical weight-w input, of ``trials`` fresh DNFs.
+def _term_draws(rng: np.random.Generator, high: int, trials: int, num_terms: int,
+                term_size: int, satisfied) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Satisfied-term counts and first satisfied terms of ``trials`` fresh DNFs.
 
-    The draws fill one (trials, terms, size) array in row order, so blocks
-    of about 2^16 draws read the same values: whole trials while a trial
-    fits in a block, one trial in blocks of its rows otherwise.
+    The term coordinates fill one (trials, terms, size) array of draws in
+    [0, high) in row order, so blocks of about 2^16 draws read the same
+    values: whole trials while a trial fits in a block, one trial in blocks
+    of its rows otherwise.  ``satisfied(lo, draws)`` maps the (t, rows, size)
+    draws of trials lo..lo+t-1 to a (..., t, rows) array of satisfied terms.
+    Yields, per run of whole trials, the (..., t) satisfied-term counts and
+    the first satisfied terms (0 where none is).
     """
     per_trial = num_terms * term_size
     if per_trial <= _DRAW_BLOCK:
         chunk = _DRAW_BLOCK // per_trial
         for lo in range(0, trials, chunk):
-            draws = rng.integers(0, n, size=(min(chunk, trials - lo), num_terms, term_size))
-            yield (draws < w).all(axis=2).sum(axis=1)
+            t = min(chunk, trials - lo)
+            sat = satisfied(lo, rng.integers(0, high, size=(t, num_terms, term_size)))
+            yield sat.sum(axis=-1), sat.argmax(axis=-1)
         return
     rows = _DRAW_BLOCK // term_size
-    for _ in range(trials):
-        count = 0
+    for i in range(trials):
+        count = first = 0
         for lo in range(0, num_terms, rows):
-            draws = rng.integers(0, n, size=(min(rows, num_terms - lo), term_size))
-            count += int(np.count_nonzero((draws < w).all(axis=1)))
-        yield np.array([count])
+            draws = rng.integers(0, high, size=(1, min(rows, num_terms - lo), term_size))
+            sat = satisfied(i, draws)
+            first = np.where((count == 0) & sat.any(axis=-1), lo + sat.argmax(axis=-1), first)
+            count = count + sat.sum(axis=-1)
+        yield count, first
 
 
 # -- shared construction helpers -------------------------------------------------
@@ -690,8 +698,10 @@ def estimate_bad_probability(
     intersect: a pair is Bad when both control parts uniquely satisfy the
     same term and the action weights split strictly below/above the middle
     action band.  uc: same unique term and exactly antipodal action parts.
-    Stream order per chunk: one float matrix (partitions), one integer batch
-    (term draws).
+    Stream order per chunk of trials: one float matrix (partitions), then
+    the chunk's (trials, terms, size) term draws.  ``_term_draws`` reads those
+    in blocks of about 2^16 values, the same values as one batch, so memory
+    does not grow with the DNF size.
     """
     if params.construction == "intersect":
         if not 0.0 < eps <= 1.0:
@@ -706,51 +716,34 @@ def estimate_bad_probability(
     m = n - a
     term_size, num_terms = talagrand_params(m, dnf_eps)
     rng = stream(seed)
-    pts = params.points
-    q = len(pts)
+    pts = np.array(params.points, dtype=np.uint64)
+    bits = ((pts[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)).astype(bool)
+    regions = _action_regions(a)
     hits = 0
     left = params.trials
-    per_trial = max(1, num_terms * term_size)
-    chunk = max(1, (1 << 22) // per_trial)
-    block = max(1, (1 << 16) // per_trial)
+    chunk = max(1, (1 << 22) // (num_terms * term_size))
     while left:
         batch = min(chunk, left)
         perm = np.argsort(rng.random((batch, n)), axis=1)
         a_cols = perm[:, :a]
         c_cols = perm[:, a:]
-        uniq = np.zeros((q, batch), dtype=bool)
-        term_of = np.zeros((q, batch), dtype=np.int64)
-        wa = np.zeros((q, batch), dtype=np.int64)
-        # The term draws fill their (batch, terms, size) array in row order,
-        # so drawing it a block of rows at a time reads the same values while
-        # keeping the per-term arrays small.
-        for lo in range(0, batch, block):
-            hi = min(batch, lo + block)
-            idx = rng.integers(0, m, size=(hi - lo, num_terms, term_size))
-            coords = c_cols[np.arange(lo, hi)[:, None, None], idx].astype(np.uint64)
-            for k, pt in enumerate(pts):
-                sat = ((np.uint64(pt) >> coords) & np.uint64(1)).all(axis=2)
-                uniq[k, lo:hi] = sat.sum(axis=1) == 1
-                term_of[k, lo:hi] = np.argmax(sat, axis=1)
-        for k, pt in enumerate(pts):
-            wa[k] = ((np.uint64(pt) >> a_cols.astype(np.uint64)) & np.uint64(1)).sum(
-                axis=1
-            )
+
+        def satisfied(lo: int, idx: np.ndarray) -> np.ndarray:
+            coords = c_cols[np.arange(lo, lo + len(idx))[:, None, None], idx]
+            return np.stack([b[coords].all(axis=-1) for b in bits])
+
+        counts, firsts = zip(*_term_draws(rng, m, batch, num_terms, term_size, satisfied))
+        uniq = np.concatenate(counts, axis=1) == 1
+        term_of = np.concatenate(firsts, axis=1)
+        side = regions[np.stack([b[a_cols].sum(axis=1) for b in bits])]
         bad = np.zeros(batch, dtype=bool)
-        regions = _action_regions(a)
-        for i in range(q):
-            for j in range(i + 1, q):
-                both = uniq[i] & uniq[j] & (term_of[i] == term_of[j])
+        for i in range(len(bits)):
+            for j in range(i + 1, len(bits)):
                 if params.construction == "intersect":
-                    ri, rj = regions[wa[i]], regions[wa[j]]
-                    split = ((ri == 1) & (rj == -1)) | ((ri == -1) & (rj == 1))
-                    bad |= both & split
+                    split = side[i] * side[j] == -1
                 else:
-                    diff = (
-                        (np.uint64(pts[i] ^ pts[j]) >> a_cols.astype(np.uint64))
-                        & np.uint64(1)
-                    ).all(axis=1)
-                    bad |= both & diff
+                    split = (bits[i] != bits[j])[a_cols].all(axis=1)
+                bad |= uniq[i] & uniq[j] & (term_of[i] == term_of[j]) & split
         hits += int(np.count_nonzero(bad))
         left -= batch
     est = hits / params.trials

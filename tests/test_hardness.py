@@ -135,14 +135,27 @@ class TestUniqueSat:
         assert peak < 8 * 2**20, peak
 
     def test_trial_rows_drawn_in_blocks_read_the_whole_trial_draw(self):
-        from setfam.hardness import _sat_counts
+        from setfam.hardness import _DRAW_BLOCK, _term_draws
 
         size, terms = talagrand_params(400, 1.0)
-        got = np.concatenate(list(_sat_counts(stream(5), 400, 300, 2, terms, size)))
+        rows = _DRAW_BLOCK // size
+        assert terms > 3 * rows  # each trial spans several blocks of rows
+        weights = np.array([250, 300])[:, None, None, None]
+        runs = list(_term_draws(stream(5), 400, 2, terms, size,
+                                lambda lo, draws: (draws < weights).all(axis=-1)))
+        counts = np.concatenate([c for c, _ in runs], axis=1)
+        firsts = np.concatenate([f for _, f in runs], axis=1)
         rng = stream(5)
-        whole = [int((rng.integers(0, 400, size=(terms, size)) < 300).all(axis=1).sum())
+        whole = [(rng.integers(0, 400, size=(terms, size)) < weights[:, 0]).all(axis=-1)
                  for _ in range(2)]
-        assert got.tolist() == whole and min(whole) > 0
+        sat = np.stack(whole, axis=1)  # (weight, trial, term)
+        assert counts.tolist() == sat.sum(axis=-1).tolist() and counts.min() > 1
+        assert firsts.tolist() == sat.argmax(axis=-1).tolist()
+        # some first satisfied term lies past the first block, and some
+        # trial has satisfied terms in a later block than its first
+        assert firsts.max() >= rows
+        last = terms - 1 - sat[..., ::-1].argmax(axis=-1)
+        assert (last // rows > firsts // rows).any()
 
     def test_wilson_sanity(self):
         lo, hi = wilson_interval(900, 1000)
@@ -498,6 +511,21 @@ class TestBadEvent:
         bound = bad_pair_bound(16, 0.5)
         sigma = math.sqrt(bound * (1 - bound) / 20000)
         assert est.estimate <= bound + 3 * sigma
+
+    def test_memory_is_bounded_when_one_trial_exceeds_a_block(self):
+        # one trial at n=63, eps=0.3 is 126,954 terms x 20 draws: 19 MiB of int64
+        import tracemalloc
+
+        x = 0x5555555555555555 >> 1
+        p = BadEventParams((x, x ^ ((1 << 63) - 1)), "intersect", 3)
+        tracemalloc.start()
+        try:
+            est = estimate_bad_probability(p, 63, 0.3, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert est.trials == 3
+        assert peak < 8 * 2**20, peak
 
     def test_rejects_empty_query_set(self):
         with pytest.raises(ValueError):

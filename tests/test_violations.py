@@ -265,7 +265,9 @@ class TestLevelMatching:
     def test_a2_w0(self):
         assert level_matching(2, 0) == [(0, 3)]
 
-    @pytest.mark.parametrize("a,w,count", [(4, 1, 4), (6, 2, 15), (5, 1, 5), (7, 3, 35)])
+    # (14, 6) and (16, 7) overflowed the recursion of an augmenting-path search
+    @pytest.mark.parametrize("a,w,count", [(4, 1, 4), (6, 2, 15), (5, 1, 5), (7, 3, 35),
+                                           (14, 6, 3003), (16, 7, 11440)])
     def test_perfect_and_comparable(self, a, w, count):
         pairs = level_matching(a, w)
         assert len(pairs) == count
