@@ -212,7 +212,7 @@ def test_bad_probability_matches_golden(case):
     assert bad_event(case) == case["result"]
 
 
-def test_bad_event_golden_has_a_nonzero_estimate():
+def test_bad_event_golden_covers_every_sweep_and_a_bad_pair():
     assert [c["argv"] for c in GOLDEN["bad_event_sweeps"]] == BAD_EVENT_SWEEPS
     assert any(c["result"]["estimate"] > 0 for c in GOLDEN["bad_event"])
 
