@@ -290,7 +290,7 @@ class TruthTable:
 
     @classmethod
     def from_array(cls, arity: int, values: np.ndarray) -> "TruthTable":
-        values = np.asarray(values).astype(np.uint8).ravel()
+        values = np.asarray(values).astype(np.uint8, copy=False).ravel()
         if values.size != 1 << arity:
             raise ValueError("array length != 2^arity")
         packed = np.packbits(values, bitorder="little").tobytes()

@@ -37,8 +37,6 @@ from .distance import dist_int_exact, dist_uc_exact, is_intersecting, is_union_c
 from .hardness import (
     BadEventParams,
     bad_pair_bound,
-    build_int_instance,
-    build_uc_instance,
     count_int_no_violations,
     count_uc_no_violations,
     estimate_bad_probability,
@@ -199,10 +197,7 @@ def cmd_gen(args) -> int:
         }
         _emit(args, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
         return 0
-    if args.kind.startswith("int-"):
-        inst = build_int_instance(args.kind[4:].replace("-", "_"), args.n, args.eps, args.seed)
-    else:
-        inst = build_uc_instance(args.kind[3:], args.n, args.eps, args.seed)
+    inst = load_instance({"kind": args.kind, "n": args.n, "eps": args.eps, "seed": args.seed})
     table = None
     if args.table:
         table = inst.materialize()

@@ -10,19 +10,17 @@ graph on 1-inputs (0^n, carrying a self-loop, is forced into every cover).
 dist to union-closed has no such structure; it is computed by exhaustion over
 all union-closed tables, which caps it at n <= 4.
 
-Dense property checks use one subset-OR transform over the whole cube
-(``violations.witness_table`` with the band [0, n]): U[z], the union of the
-1-inputs inside z, is z exactly when z is a union of 1-inputs, so a 0-input
-with U[z] = z breaks union-closedness; a 1-input inside the complement of a
-1-input breaks intersectingness.
-
-The union closure is a table: the 1-inputs plus the 0-inputs with U[z] = z,
-from the same transform once the table outgrows one machine word (n > 6),
-and from a pairwise fixed point below that.  Its 0 -> 1 flips,
-``closure & ~f``, are exactly the points that end a violating tuple, so
-``repair_uc`` returns them, ``end_distinct_tuple_count`` is their popcount
-and ``disjoint_tuple_count_lb`` takes its candidate ends from them, in
-ascending order.
+Every closure question is answered by one subset-OR transform over the
+whole cube (``violations.witness_table`` with the band [0, n]): U[z], the
+union of the 1-inputs inside z, is z exactly when z is a union of 1-inputs,
+so a 0-input with U[z] = z breaks union-closedness; a 1-input inside the
+complement of a 1-input breaks intersectingness.  The transform's table
+marks those 0-inputs, the points that end a violating tuple: the union
+closure is f plus them, so ``repair_uc`` flips exactly them,
+``end_distinct_tuple_count`` is their count (with members restricted to a
+band, the transform's band), ``disjoint_tuple_count_lb`` takes its candidate
+ends from them in ascending order, and the exhaustive union-closed distance
+keeps the n <= 4 tables that have none.
 """
 
 from __future__ import annotations
@@ -37,6 +35,7 @@ from .boolfn import Band, ResourceCapError, TruthTable, popcount_array
 from .violations import (
     UcViolatingTuple,
     _minimal_tuple,
+    _word_witness,
     max_disjoint_i_pairs,
     min_disjoint_cover,
     witness_table,
@@ -95,7 +94,7 @@ def is_union_closed(f: TruthTable) -> bool:
     _check_table_arity(f, 24)
     if _prefer_dense(f.arity, f.count_ones()):
         # a 0-input that is the union of the 1-inputs below it
-        return not witness_table(f, Band(0, f.arity), True).any()
+        return not witness_table(f, Band(0, f.arity), True).bits
     ones = f.ones()
     bits = f.bits
     for i, u in enumerate(ones):
@@ -114,7 +113,7 @@ def is_intersecting(f: TruthTable) -> bool:
         return False
     if _prefer_dense(f.arity, f.count_ones()):
         # 1-input below the complement of a 1-input <=> disjoint pair
-        return not witness_table(f, Band(0, f.arity), False).any()
+        return not witness_table(f, Band(0, f.arity), False).bits
     ones = f.ones()
     for i, u in enumerate(ones):
         for v in ones[i:]:
@@ -155,15 +154,9 @@ def dist_int_exact(f: TruthTable, max_ones: int = 30) -> DistanceResult:
 
 @lru_cache(maxsize=None)
 def _all_union_closed_masks(n: int) -> np.ndarray:
-    """All union-closed tables at arity n, ascending, as function bitmasks."""
-    size = 1 << n
-    masks = np.arange(1 << size, dtype=np.uint32)
-    for u in range(size):
-        for v in range(u + 1, size):
-            w = u | v
-            if w != u and w != v:  # a comparable pair's union is one of the pair
-                masks = masks[((masks >> u) & (masks >> v) & ~(masks >> w) & 1) == 0]
-    return masks
+    """All union-closed tables at arity n, ascending, as bitmasks: those with no tuple end."""
+    masks = np.arange(1 << (1 << n), dtype=np.uint64)
+    return masks[_word_witness(masks, n, Band(0, n), True) == 0]
 
 
 def dist_uc_exact(f: TruthTable) -> DistanceResult:
@@ -175,7 +168,7 @@ def dist_uc_exact(f: TruthTable) -> DistanceResult:
     if f.arity > 4:
         raise ResourceCapError("dist_uc_exact is exhaustive and capped at n <= 4")
     candidates = _all_union_closed_masks(f.arity)
-    dists = popcount_array(np.bitwise_xor(candidates, np.uint32(f.bits)).astype(np.uint16))
+    dists = popcount_array(np.bitwise_xor(candidates, np.uint64(f.bits)).astype(np.uint16))
     best = int(np.argmin(dists))
     cert = TruthTable(f.arity, int(candidates[best]))
     return DistanceResult(int(dists[best]), 1 << f.arity, "exhaustive", cert)
@@ -184,30 +177,10 @@ def dist_uc_exact(f: TruthTable) -> DistanceResult:
 # -- union closure, repair, and tuple counts -------------------------------------
 
 
-def _dense_closure(n: int) -> bool:
-    # the fixed point costs |closure| x |ones| shifts (up to 4^n), the
-    # transform n 2^n plus numpy's call overhead, which one word cannot repay
-    return n > 6
-
-
 def union_closure(f: TruthTable) -> TruthTable:
     """The table of all unions of nonempty subsets of f's 1-inputs."""
     _check_table_arity(f, 20)
-    if _dense_closure(f.arity):
-        # the 1-inputs and the 0-inputs that are the union of the 1-inputs below them
-        closed = witness_table(f, Band(0, f.arity), True)
-        closed |= f.as_array() != 0
-        return TruthTable.from_array(f.arity, closed)
-    ones = f.ones()
-    bits = f.bits
-    queue = list(ones)
-    while queue:  # each closed point joins the queue once and meets every 1-input
-        a = queue.pop()
-        for u in ones:
-            if not (bits >> (a | u)) & 1:
-                bits |= 1 << (a | u)
-                queue.append(a | u)
-    return TruthTable(f.arity, bits)
+    return TruthTable(f.arity, f.bits | witness_table(f, Band(0, f.arity), True).bits)
 
 
 def repair_uc(f: TruthTable) -> tuple[TruthTable, frozenset[int]]:
@@ -228,14 +201,8 @@ def end_distinct_tuple_count(f: TruthTable, band: Band | None = None) -> int:
     With a band, tuple members are restricted to band weights (the end point
     itself is unrestricted).
     """
-    base = f
-    if band is not None:
-        weights = np.bitwise_count(np.arange(1 << f.arity, dtype=np.uint32))
-        base = TruthTable.from_array(
-            f.arity, f.as_array() & (weights >= band.lo) & (weights <= band.hi))
-    if base.bits == 0:
-        return 0
-    return (union_closure(base).bits & ~f.bits).bit_count()
+    _check_table_arity(f, 20)
+    return witness_table(f, band or Band(0, f.arity), True).count_ones()
 
 
 def disjoint_tuple_count_lb(f: TruthTable) -> int:
@@ -250,7 +217,7 @@ def disjoint_tuple_count_lb(f: TruthTable) -> int:
     _check_table_arity(f, 16)
     available = set(f.ones())
     count = 0
-    for z in TruthTable(f.arity, union_closure(f).bits & ~f.bits).ones():
+    for z in witness_table(f, Band(0, f.arity), True).ones():
         members = _minimal_tuple(available, z)
         if members is not None:
             count += 1

@@ -167,13 +167,7 @@ def sample_talagrand(n: int, eps: float, rng: np.random.Generator) -> TalagrandD
     """
     term_size, num_terms = talagrand_params(n, eps)
     draws = rng.integers(0, n, size=(num_terms, term_size))
-    masks = []
-    for row in draws:
-        m = 0
-        for c in row:
-            m |= 1 << int(c)
-        masks.append(m)
-    return TalagrandDnf(n, eps, term_size, tuple(masks))
+    return TalagrandDnf(n, eps, term_size, tuple(_mask_of(row) for row in draws))
 
 
 # -- unique-term probability estimator ------------------------------------------
@@ -698,10 +692,11 @@ def estimate_bad_probability(
     intersect: a pair is Bad when both control parts uniquely satisfy the
     same term and the action weights split strictly below/above the middle
     action band.  uc: same unique term and exactly antipodal action parts.
-    Stream order per chunk of trials: one float matrix (partitions), then
-    the chunk's (trials, terms, size) term draws.  ``_term_draws`` reads those
-    in blocks of about 2^16 values, the same values as one batch, so memory
-    does not grow with the DNF size.
+    Stream order per chunk of trials: one float matrix (partitions, kept as
+    uint8 column orders), then the chunk's (trials, terms, size) term draws.
+    Both are read in blocks of about 2^16 values, the same values as one
+    batch, and Bad pairs are found per run of trials that ``_term_draws``
+    yields, so memory grows with the trials only by n bytes each.
     """
     if params.construction == "intersect":
         if not 0.0 < eps <= 1.0:
@@ -722,29 +717,33 @@ def estimate_bad_probability(
     hits = 0
     left = params.trials
     chunk = max(1, (1 << 22) // (num_terms * term_size))
+    rows = _DRAW_BLOCK // n
     while left:
         batch = min(chunk, left)
-        perm = np.argsort(rng.random((batch, n)), axis=1)
-        a_cols = perm[:, :a]
+        perm = np.empty((batch, n), dtype=np.uint8)
+        for r in range(0, batch, rows):
+            perm[r:r + rows] = np.argsort(rng.random((min(rows, batch - r), n)), axis=1)
         c_cols = perm[:, a:]
 
         def satisfied(lo: int, idx: np.ndarray) -> np.ndarray:
-            coords = c_cols[np.arange(lo, lo + len(idx))[:, None, None], idx]
+            coords = c_cols[np.arange(lo, lo + len(idx))[:, None, None], idx].astype(np.intp)
             return np.stack([b[coords].all(axis=-1) for b in bits])
 
-        counts, firsts = zip(*_term_draws(rng, m, batch, num_terms, term_size, satisfied))
-        uniq = np.concatenate(counts, axis=1) == 1
-        term_of = np.concatenate(firsts, axis=1)
-        side = regions[np.stack([b[a_cols].sum(axis=1) for b in bits])]
-        bad = np.zeros(batch, dtype=bool)
-        for i in range(len(bits)):
-            for j in range(i + 1, len(bits)):
-                if params.construction == "intersect":
-                    split = side[i] * side[j] == -1
-                else:
-                    split = (bits[i] != bits[j])[a_cols].all(axis=1)
-                bad |= uniq[i] & uniq[j] & (term_of[i] == term_of[j]) & split
-        hits += int(np.count_nonzero(bad))
+        start = 0
+        for count, term_of in _term_draws(rng, m, batch, num_terms, term_size, satisfied):
+            a_cols = perm[start:start + count.shape[-1], :a].astype(np.intp)
+            start += len(a_cols)
+            uniq = count == 1
+            side = regions[np.stack([b[a_cols].sum(axis=1) for b in bits])]
+            bad = np.zeros(len(a_cols), dtype=bool)
+            for i in range(len(bits)):
+                for j in range(i + 1, len(bits)):
+                    if params.construction == "intersect":
+                        split = side[i] * side[j] == -1
+                    else:
+                        split = (bits[i] != bits[j])[a_cols].all(axis=1)
+                    bad |= uniq[i] & uniq[j] & (term_of[i] == term_of[j]) & split
+            hits += int(np.count_nonzero(bad))
         left -= batch
     est = hits / params.trials
     return BadEstimate(est, wilson_interval(hits, params.trials), params.trials)

@@ -51,9 +51,9 @@ one, and evaluate point by point otherwise, so an oracle may also see
 points of the iterations after the rejecting one in its block or chunk;
 those answers are not counted and cannot change the report.  A
 ``TruthTable`` of at most 2^12 points is read whole once per witness-tester
-run instead: ``violations.witness_table`` marks every point whose check
-finds a witness, and only the rejecting iteration's check is evaluated, for
-its certificate.  The reported queries stay those above.
+run instead: its ``violations.witness_table`` (a ``TruthTable``) answers each
+chunk with one ``batch`` call, and only the rejecting iteration's check is
+evaluated, for its certificate.  The reported queries stay those above.
 
 Identical (f, config) therefore reproduces identical reports byte for byte,
 and iterations stay independent given the weight batch.

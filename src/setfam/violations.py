@@ -181,7 +181,7 @@ def is_uc_violation(f, y1: int, y2: int) -> TripleCertificate | None:
 
 def witness_scan(
     f, xs: np.ndarray, band: Band, uc: bool, cap: int = DEFAULT_ENUMERATION_CAP,
-    table: np.ndarray | None = None,
+    table: TruthTable | None = None,
 ) -> tuple[int, UcViolatingTuple | IViolatingPair | None, int]:
     """The banded witness check of each point of xs in turn, up to the first witness.
 
@@ -193,9 +193,9 @@ def witness_scan(
     together in blocks of at most BLOCK points, one oracle call per block,
     so f may also see points of the checks that follow the first witness
     in its block.  Given ``table``, the :func:`witness_table` of f for this
-    band and rule, the first witness is looked up there and only its own
-    check is evaluated.  A check whose downset exceeds ``cap`` raises
-    EnumerationCapError, once every check before it has found nothing.
+    band and rule, xs are looked up in it with one ``batch`` call and only
+    the first witness's check is evaluated.  A check whose downset exceeds
+    ``cap`` raises EnumerationCapError, once every check before it found nothing.
     """
     xs = np.asarray(xs, dtype=np.uint64)
     roots = xs if uc else xs ^ np.uint64((1 << f.arity) - 1)
@@ -205,7 +205,7 @@ def witness_scan(
     if table is None:
         runs = _runs((counts[:stop] + np.uint64(1)).tolist(), BLOCK)
     else:  # the first witness's check alone
-        hits = np.flatnonzero(table[xs[:stop]])
+        hits = np.flatnonzero(table.batch(xs[:stop]))
         runs = [(int(hits[0]), int(hits[0]) + 1)] if hits.size else []
     for start, end in runs:
         found = _witness_run(f, xs[start:end], roots[start:end], band, uc)
@@ -218,17 +218,21 @@ def witness_scan(
     return -1, None, int(counts[:stop].sum()) + stop
 
 
-def witness_table(f: TruthTable, band: Band, uc: bool) -> np.ndarray:
-    """Bool array over every point x: does x's banded witness check find a witness?
+def witness_table(f: TruthTable, band: Band, uc: bool) -> TruthTable:
+    """Table over every point x: does x's banded witness check find a witness?
 
     uc: f(x) = 0, x != 0 and the union of the 1-inputs below x with weight
     in the band is x; otherwise f(x) = 1 and such a 1-input lies below the
-    complement of x.  One in-place subset-OR transform over the band's
-    1-inputs answers every x at once: O(n 2^n) time, and for uc one uint32
-    array of 2^n unions.  The union below x lies inside x, so it is x
-    exactly when its weight is x's.
+    complement of x.  One subset-OR transform over the band's 1-inputs
+    answers every x at once, in O(n 2^n) time.  A table of at most 64
+    points (n <= 6) runs it on its bits as one machine word; a larger one
+    runs it in place on an array, for uc one uint32 array of 2^n unions.
+    The union below x lies inside x, so it is x exactly when its weight is
+    x's.
     """
     n = f.arity
+    if n <= 6:
+        return TruthTable(n, _word_witness(f.bits, n, band, uc))
     values = f.as_array()
     ones = values != 0
     narrow = band.lo > 0 or band.hi < n
@@ -237,13 +241,14 @@ def witness_table(f: TruthTable, band: Band, uc: bool) -> np.ndarray:
     if narrow:
         ones &= (weights >= band.lo) & (weights <= band.hi)
     if not uc:
-        return _or_below(ones, n)[::-1] & (values != 0)
+        values &= _or_below(ones, n)[::-1]
+        return TruthTable.from_array(n, values)
     unions = np.arange(1 << n, dtype=np.uint32)
     unions *= ones
     hit = np.equal(np.bitwise_count(_or_below(unions, n)), weights, out=ones)  # ones is spent
     hit &= values == 0
     hit[0] = False  # x = 0 is only below itself, so as a 0-input it has no members
-    return hit
+    return TruthTable.from_array(n, hit.view(np.uint8))
 
 
 def _or_below(values: np.ndarray, n: int) -> np.ndarray:
@@ -253,6 +258,38 @@ def _or_below(values: np.ndarray, n: int) -> np.ndarray:
         v = values.reshape(-1, 2 * step)
         v[:, step:] |= v[:, :step]
     return values
+
+
+#: Points of a 64-point word: _CLEAR[i] those with coordinate i 0, _LEVEL[w] those of weight w.
+_CLEAR = (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+          0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF)
+_LEVEL = tuple(sum(1 << p for p in range(64) if p.bit_count() == w) for w in range(7))
+
+
+def _word_witness(bits, n: int, band: Band, uc: bool):
+    """The bits of :func:`witness_table` at n <= 6, of one table's bits or a uint64 array of them.
+
+    int reads the transform at each complement, reached by swapping the
+    halves of every coordinate; uc needs each coordinate c of x in a band
+    1-input below x, which transform c, over the 1-inputs that hold c, tells.
+    """
+    ones = bits & sum(_LEVEL[band.lo:band.hi + 1])
+    if not uc:
+        below = _or_below_word(ones, n)
+        for i in range(n):
+            below = (below & _CLEAR[i]) << (1 << i) | (below >> (1 << i)) & _CLEAR[i]
+        return below & bits
+    hit = ~bits & ((1 << (1 << n)) - 2)  # the 0-inputs but x = 0
+    for c in range(n):
+        hit &= _or_below_word(ones & (_CLEAR[c] << (1 << c)), n) | _CLEAR[c]
+    return hit
+
+
+def _or_below_word(w, n: int):
+    """:func:`_or_below` on the bits of one word (or on each of an array of words), in place."""
+    for i in range(n):
+        w |= (w & _CLEAR[i]) << (1 << i)
+    return w
 
 
 def _witness_run(f, xs, roots, band, uc):

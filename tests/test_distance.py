@@ -129,15 +129,15 @@ class TestPropertyChecks:
                 checked[inter] += 1
         assert min(checked.values()) >= 8
 
-    def test_dense_closure_matches_the_sparse_closure(self, monkeypatch):
+    def test_dense_closure_matches_the_sparse_closure(self):
+        # the closure of the array transform at n = 12 against the set closure
         import numpy as np
 
-        import setfam.distance as D
         from setfam.rng import stream
 
         rng = stream(97)
         for k, density in enumerate((0.5, 0.7, 0.95, 0.5)):
-            # 1-inputs inside a 9-coordinate subcube keep the sparse closure small
+            # 1-inputs inside a 9-coordinate subcube keep the set closure small
             coords = np.sort(rng.permutation(12)[:9])
             low = np.flatnonzero(rng.random(512) < density)
             ones = (((low[:, None] >> np.arange(9)) & 1) << coords).sum(axis=1).tolist()
@@ -145,11 +145,8 @@ class TestPropertyChecks:
             if k == 3:
                 ones = sorted(_union_closure(ones))
             f = TruthTable.from_ones(12, ones)
-            assert D._dense_closure(12)
             dense = union_closure(f)
-            with monkeypatch.context() as m:
-                m.setattr(D, "_dense_closure", lambda n: False)
-                assert union_closure(f) == dense
+            assert set(dense.ones()) == _union_closure(ones)
             assert dense(0) == (k % 2 == 1)
             assert dense.count_ones() > len(ones) or k == 3
 
@@ -404,40 +401,39 @@ def _union(points) -> int:
 
 
 class TestClosureReaders:
-    """The closure table and its readers against brute force, on each closure path."""
+    """The closure table and its readers against brute force, on each side of
+    the one-word cut (n <= 6 word, n >= 7 array)."""
 
-    @pytest.mark.parametrize("dense", [False, True])
-    @given(st.integers(1, 10), st.sampled_from([0.02, 0.1, 0.3, 0.6, 0.95]),
+    @pytest.mark.parametrize("array", [False, True])
+    @given(st.data(), st.sampled_from([0.02, 0.1, 0.3, 0.6, 0.95]),
            st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_readers_match_brute_force(self, dense, n, density, seed):
+    def test_readers_match_brute_force(self, array, data, density, seed):
         import numpy as np
 
-        import setfam.distance as D
         from setfam.violations import UcViolatingTuple, is_minimal_tuple, min_violation_locality
 
+        n = data.draw(st.integers(7, 10) if array else st.integers(1, 6), label="n")
         rng = np.random.default_rng(seed)
         f = TruthTable.from_array(n, rng.random(1 << n) < density)
         ones = f.ones()
         closure = _union_closure(ones)
         ends = sorted(closure - set(ones))
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(D, "_dense_closure", lambda _: dense)
-            assert set(union_closure(f).ones()) == closure
-            g, flipped = repair_uc(f)
-            assert set(g.ones()) == closure and flipped == frozenset(ends)
-            assert end_distinct_tuple_count(f) == len(ends)
-            lo, hi = sorted(int(w) for w in rng.integers(0, n + 1, size=2))
-            members = [u for u in ones if lo <= u.bit_count() <= hi]
-            banded = _union_closure(members) - set(ones)
-            assert end_distinct_tuple_count(f, Band(lo, hi)) == len(banded)
-            available, count = set(ones), 0
-            for z in ends:
-                tup = greedy_minimal(available, z)
-                if tup is not None:
-                    count += 1
-                    available -= set(tup)
-            assert disjoint_tuple_count_lb(f) == count
+        assert set(union_closure(f).ones()) == closure
+        g, flipped = repair_uc(f)
+        assert set(g.ones()) == closure and flipped == frozenset(ends)
+        assert end_distinct_tuple_count(f) == len(ends)
+        lo, hi = sorted(int(w) for w in rng.integers(0, n + 1, size=2))
+        members = [u for u in ones if lo <= u.bit_count() <= hi]
+        banded = _union_closure(members) - set(ones)
+        assert end_distinct_tuple_count(f, Band(lo, hi)) == len(banded)
+        available, count = set(ones), 0
+        for z in ends:
+            tup = greedy_minimal(available, z)
+            if tup is not None:
+                count += 1
+                available -= set(tup)
+        assert disjoint_tuple_count_lb(f) == count
         for z in range(1 << n):
             t = make_tuple_from_end(f, z)
             assert (t is not None) == (z in ends)
@@ -455,15 +451,23 @@ class TestClosureReaders:
         assert min_violation_locality(f) == (min(locs) if locs else None)
 
     def test_the_path_follows_the_table_size(self, monkeypatch):
-        import setfam.distance as D
+        import setfam.violations as V
 
         calls = []
-        real = D.witness_table
-        monkeypatch.setattr(D, "witness_table", lambda *a: calls.append(a) or real(*a))
-        union_closure(TruthTable.from_ones(6, [1, 2, 4]))
-        assert not calls  # one machine word: the pairwise fixed point
-        union_closure(TruthTable.from_ones(7, [1, 2, 4]))
-        assert len(calls) == 1  # the subset-OR transform
+        real = V._or_below
+        monkeypatch.setattr(V, "_or_below", lambda *a: calls.append(a) or real(*a))
+        for n in range(1, 7):
+            f = TruthTable.from_ones(n, [p for p in (1, 2, 4) if p >> n == 0])
+            for uc in (True, False):
+                V.witness_table(f, Band(0, n), uc)
+            union_closure(f)
+            repair_uc(f)
+            end_distinct_tuple_count(f, Band(1, 1))
+            disjoint_tuple_count_lb(f)
+        assert not calls  # one machine word: the transform on the bits
+        g = union_closure(TruthTable.from_ones(7, [1, 2, 4]))
+        assert g == TruthTable.from_ones(7, range(1, 8))
+        assert len(calls) == 1  # the array transform
 
     def test_closure_peak_memory_at_n20(self):
         import tracemalloc

@@ -527,6 +527,21 @@ class TestBadEvent:
         assert est.trials == 3
         assert peak < 8 * 2**20, peak
 
+    def test_memory_is_bounded_when_a_chunk_holds_many_trials(self):
+        # one term of 3 coordinates: a chunk is all 100,000 trials, whose
+        # partitions as float rows and their argsort take 24 MiB
+        import tracemalloc
+
+        p = BadEventParams((0x5555, 0xAAAA), "intersect", 100_000)
+        tracemalloc.start()
+        try:
+            est = estimate_bad_probability(p, 16, 1.0, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert est.trials == 100_000
+        assert peak < 8 * 2**20, peak
+
     def test_rejects_empty_query_set(self):
         with pytest.raises(ValueError):
             BadEventParams((), "intersect", 10)

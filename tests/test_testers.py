@@ -579,7 +579,7 @@ class TestExactIterationSuccess:
             band = mid_band(n, eps)
             weights = np.bitwise_count(np.arange(1 << n))
             in_band = (weights >= band.lo) & (weights <= band.hi)
-            p = witness_table(f, band, uc)[in_band].mean()
+            p = witness_table(f, band, uc).as_array()[in_band].mean()
             assert 0 < p < 1
             r = max(1, round(math.log(2) / -math.log1p(-p)))  # rejects about half the runs
             q = 1 - (1 - p) ** r
