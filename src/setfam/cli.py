@@ -35,6 +35,7 @@ from .boolfn import (
 )
 from .distance import dist_int_exact, dist_uc_exact, is_intersecting, is_union_closed
 from .hardness import (
+    _Z95,
     BadEventParams,
     bad_pair_bound,
     count_int_no_violations,
@@ -44,6 +45,7 @@ from .hardness import (
     sample_talagrand,
     uc_no_r_tally,
     unique_sat_probability,
+    wilson_interval,
 )
 from .rng import stream
 from .testers import (
@@ -120,21 +122,16 @@ class CsvDoc:
 
 def resolve_function(spec: str, n: int | None):
     """Builtin name, ones:{...} literal, BFTT1 path, or instance/table JSON path."""
+    builtin = spec in ("const0", "const1", "majority") or spec.startswith("dictator-")
+    if n is None and (builtin or spec.startswith("ones:")):
+        raise SystemExit(f"--n is required for {'builtin' if builtin else 'ones:{...}'} functions")
     if spec in ("const0", "const1"):
-        if n is None:
-            raise SystemExit("--n is required for builtin functions")
         return const_function(n, int(spec == "const1"))
     if spec == "majority":
-        if n is None:
-            raise SystemExit("--n is required for builtin functions")
         return majority(n)
     if spec.startswith("dictator-"):
-        if n is None:
-            raise SystemExit("--n is required for builtin functions")
         return dictator(n, int(spec.split("-", 1)[1]))
     if spec.startswith("ones:"):
-        if n is None:
-            raise SystemExit("--n is required for ones:{...} functions")
         body = spec[5:].strip("{}")
         pts = [parse_bits(s.strip()) for s in body.split(",") if s.strip()]
         return TruthTable.from_ones(n, pts)
@@ -333,8 +330,6 @@ def cmd_sweep(args) -> int:
         alg = ALGORITHMS[args.alg]
 
         def run_r(i: int) -> list:
-            from .hardness import wilson_interval
-
             n, eps = grid[i]
             f = resolve_function(args.fn, n)
             t0 = time.perf_counter() if args.timing else 0.0
@@ -346,7 +341,7 @@ def cmd_sweep(args) -> int:
                 if alg(f, cfg).verdict == "reject":
                     rejects += 1
             wall = f"{(time.perf_counter() - t0) * 1e3:.3f}" if args.timing else ""
-            lo, _ = wilson_interval(rejects, args.trials, z=1.959963984540054)
+            lo, _ = wilson_interval(rejects, args.trials, z=_Z95)
             return [n, eps, args.trials, rejects,
                     f"{rejects / args.trials:.6g}", f"{lo:.6g}", wall]
 

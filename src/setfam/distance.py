@@ -91,7 +91,6 @@ def _check_table_arity(f: TruthTable, cap: int) -> None:
 
 def is_union_closed(f: TruthTable) -> bool:
     """No pair of 1-inputs whose union is a 0-input (pairwise closure suffices)."""
-    _check_table_arity(f, 24)
     if _prefer_dense(f.arity, f.count_ones()):
         # a 0-input that is the union of the 1-inputs below it
         return not witness_table(f, Band(0, f.arity), True).bits
@@ -106,7 +105,6 @@ def is_union_closed(f: TruthTable) -> bool:
 
 def is_intersecting(f: TruthTable) -> bool:
     """All pairs of 1-inputs intersect; the diagonal rule bans 0^n."""
-    _check_table_arity(f, 24)
     if not f.bits:
         return True
     if f(0):
@@ -179,7 +177,6 @@ def dist_uc_exact(f: TruthTable) -> DistanceResult:
 
 def union_closure(f: TruthTable) -> TruthTable:
     """The table of all unions of nonempty subsets of f's 1-inputs."""
-    _check_table_arity(f, 20)
     return TruthTable(f.arity, f.bits | witness_table(f, Band(0, f.arity), True).bits)
 
 
@@ -188,8 +185,10 @@ def repair_uc(f: TruthTable) -> tuple[TruthTable, frozenset[int]]:
 
     g is the indicator of the union closure of f's 1-inputs: g agrees with f
     off the end set B (points that end some violating tuple) and flips exactly
-    B, so |B| >= 2^n * dist to union-closedness.
+    B, so |B| >= 2^n * dist to union-closedness.  Capped at n <= 20 by the
+    returned set of flipped points.
     """
+    _check_table_arity(f, 20)
     g = union_closure(f)
     assert is_union_closed(g)
     return g, frozenset(TruthTable(f.arity, g.bits & ~f.bits).ones())
@@ -201,7 +200,6 @@ def end_distinct_tuple_count(f: TruthTable, band: Band | None = None) -> int:
     With a band, tuple members are restricted to band weights (the end point
     itself is unrestricted).
     """
-    _check_table_arity(f, 20)
     return witness_table(f, band or Band(0, f.arity), True).count_ones()
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -223,72 +224,78 @@ def witness_table(f: TruthTable, band: Band, uc: bool) -> TruthTable:
 
     uc: f(x) = 0, x != 0 and the union of the 1-inputs below x with weight
     in the band is x; otherwise f(x) = 1 and such a 1-input lies below the
-    complement of x.  One subset-OR transform over the band's 1-inputs
-    answers every x at once, in O(n 2^n) time.  A table of at most 64
-    points (n <= 6) runs it on its bits as one machine word; a larger one
-    runs it in place on an array, for uc one uint32 array of 2^n unions.
-    The union below x lies inside x, so it is x exactly when its weight is
-    x's.
+    complement of x.  A subset-OR transform over the band's 1-inputs, on f's
+    bits as one machine word (n <= 6) or as 2^(n-6) uint64 words, answers
+    every x at once in O(n 2^n) time: int reads it at each complement; uc
+    needs each coordinate c of x in a band 1-input below x (transform c).
     """
     n = f.arity
     if n <= 6:
         return TruthTable(n, _word_witness(f.bits, n, band, uc))
-    values = f.as_array()
-    ones = values != 0
-    narrow = band.lo > 0 or band.hi < n
-    if uc or narrow:
-        weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
-    if narrow:
-        ones &= (weights >= band.lo) & (weights <= band.hi)
-    if not uc:
-        values &= _or_below(ones, n)[::-1]
-        return TruthTable.from_array(n, values)
-    unions = np.arange(1 << n, dtype=np.uint32)
-    unions *= ones
-    hit = np.equal(np.bitwise_count(_or_below(unions, n)), weights, out=ones)  # ones is spent
-    hit &= values == 0
-    hit[0] = False  # x = 0 is only below itself, so as a 0-input it has no members
-    return TruthTable.from_array(n, hit.view(np.uint8))
-
-
-def _or_below(values: np.ndarray, n: int) -> np.ndarray:
-    """values, with values[z] replaced in place by the OR of values[y] over every y <= z."""
-    for i in range(n):
-        step = 1 << i
-        v = values.reshape(-1, 2 * step)
-        v[:, step:] |= v[:, :step]
-    return values
+    words = np.frombuffer(f.bits.to_bytes(1 << (n - 3), "little"), "<u8")
+    ones = words & _band_words(n, band)
+    if not uc:  # the transform at each complement: bytes in reverse order, each byte's bits too
+        hit = _REVERSED[_or_below(ones, n).view(np.uint8)[::-1]]
+        hit &= words.view(np.uint8)
+    else:
+        hit = ~words
+        hit[0] &= ~np.uint64(1)  # x = 0 is only below itself, so as a 0-input it has no members
+        step = max(1, _SLICE_WORDS >> (n - 6))
+        index = np.arange(len(words), dtype=np.uint64)
+        for c0 in range(0, n, step):  # transform c for each c0 <= c < c0 + step, a row each
+            c = slice(c0, min(n, c0 + step))
+            hold = _HOLD[c, None] * (index & _WORD_BIT[c, None] == _WORD_BIT[c, None])
+            hit &= np.bitwise_and.reduce(_or_below(ones & hold, n) | ~hold, axis=0)
+    return TruthTable(n, int.from_bytes(hit.tobytes(), "little"))
 
 
 #: Points of a 64-point word: _CLEAR[i] those with coordinate i 0, _LEVEL[w] those of weight w.
 _CLEAR = (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
           0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF)
 _LEVEL = tuple(sum(1 << p for p in range(64) if p.bit_count() == w) for w in range(7))
+#: The points that hold coordinate c: _HOLD[c]'s in the words whose index holds _WORD_BIT[c].
+_HOLD = ~np.array(_CLEAR + (0,) * 18, dtype=np.uint64)
+_WORD_BIT = np.array([0] * 6 + [1 << i for i in range(18)], dtype=np.uint64)
+_REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
+_SLICE_WORDS = 1 << 18  # words of the coordinate slices that one uc transform runs on
+
+
+@lru_cache(maxsize=32)
+def _band_words(n: int, band: Band) -> np.ndarray:
+    """The band's points in each word at n >= 7: _LEVEL shifted by the popcount of its index."""
+    masks = [sum(_LEVEL[max(band.lo - s, 0):max(band.hi + 1 - s, 0)]) for s in range(n - 5)]
+    out = np.array(masks, dtype=np.uint64)[np.bitwise_count(np.arange(1 << (n - 6)))]
+    out.flags.writeable = False
+    return out
 
 
 def _word_witness(bits, n: int, band: Band, uc: bool):
-    """The bits of :func:`witness_table` at n <= 6, of one table's bits or a uint64 array of them.
-
-    int reads the transform at each complement, reached by swapping the
-    halves of every coordinate; uc needs each coordinate c of x in a band
-    1-input below x, which transform c, over the 1-inputs that hold c, tells.
-    """
+    """The bits of :func:`witness_table` at n <= 6, of an int table or a uint64 array of tables."""
     ones = bits & sum(_LEVEL[band.lo:band.hi + 1])
     if not uc:
-        below = _or_below_word(ones, n)
-        for i in range(n):
+        below = _or_below(ones, n)
+        for i in range(n):  # swap the halves of each coordinate: every point's complement
             below = (below & _CLEAR[i]) << (1 << i) | (below >> (1 << i)) & _CLEAR[i]
         return below & bits
     hit = ~bits & ((1 << (1 << n)) - 2)  # the 0-inputs but x = 0
     for c in range(n):
-        hit &= _or_below_word(ones & (_CLEAR[c] << (1 << c)), n) | _CLEAR[c]
+        hit &= _or_below(ones & (_CLEAR[c] << (1 << c)), n) | _CLEAR[c]
     return hit
 
 
-def _or_below_word(w, n: int):
-    """:func:`_or_below` on the bits of one word (or on each of an array of words), in place."""
+def _or_below(w, n: int):
+    """Each point's bit of w ORed, in place, with those of every point below it.
+
+    w is one table's bits as an int, or uint64 words on the last axis (2^(n-6)
+    of them, or one per table at n <= 6).  Step i < 6 shifts inside each word;
+    step i >= 6 ORs the lower half of each block of 2^(i-5) words into the upper.
+    """
     for i in range(n):
-        w |= (w & _CLEAR[i]) << (1 << i)
+        if i < 6:
+            w |= (w & _CLEAR[i]) << (1 << i)
+        else:
+            v = w.reshape(-1, 2, 1 << (i - 6))
+            v[:, 1] |= v[:, 0]
     return w
 
 

@@ -8,6 +8,8 @@ the testers' reports against a statement that evaluates every round.
 Both read the stream through the testers' own chunk and cursor helpers,
 but pick points and downset classes with the plain kernels below: a stable
 per-row argsort and a compare-sum over the padded cumulative class sizes.
+``witness_array`` keeps the subset-OR transform of ``witness_table`` on an
+unpacked array: a uint32 array of unions (uc) or a bool array (int).
 """
 
 from __future__ import annotations
@@ -115,3 +117,31 @@ def int_pair_tester(f, cfg: TesterConfig) -> TesterReport:
             cert = IViolatingPair(int(ys[i]), int(xs[i]))
             return TesterReport("reject", cert, 2 * (start + i + 1), start + i + 1, cfg.seed)
     return TesterReport("accept", None, 2 * rounds, rounds, cfg.seed)
+
+
+def or_below(values: np.ndarray, n: int) -> np.ndarray:
+    """values, with values[z] replaced in place by the OR of values[y] over every y <= z."""
+    for i in range(n):
+        step = 1 << i
+        v = values.reshape(-1, 2 * step)
+        v[:, step:] |= v[:, :step]
+    return values
+
+
+def witness_array(f, band, uc: bool) -> np.ndarray:
+    """``witness_table(f, band, uc)`` as a bool array over every point.
+
+    int: f(x) = 1 and the OR of the band 1-inputs below the complement of x
+    is set.  uc: f(x) = 0, x != 0 and the union of the band 1-inputs below x,
+    which lies inside x, has x's weight.
+    """
+    n = f.arity
+    values = f.as_array().astype(bool)
+    weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+    ones = values & (weights >= band.lo) & (weights <= band.hi)
+    if not uc:
+        return values & or_below(ones, n)[::-1]
+    unions = np.arange(1 << n, dtype=np.uint32) * ones
+    hit = (np.bitwise_count(or_below(unions, n)) == weights) & ~values
+    hit[0] = False
+    return hit

@@ -307,6 +307,28 @@ class TestSweepCommand:
         rows = [l.split(",") for l in raw.splitlines() if l and not l.startswith("#")][1:]
         assert float(rows[0][4]) >= 0.9
 
+    def test_reject_rate_sweep_wilson_column(self, tmp_path):
+        # one iteration per trial, so some trials reject and some accept
+        import math
+        from statistics import NormalDist
+
+        raw = run_cli(
+            ["sweep", "--what", "reject-rate", "--ns", "4", "--epss", "0.5,0.9",
+             "--trials", "30", "--iterations", "1", "--alg", "int",
+             "--fn", "ones:{0011,1100}", "--seed", "4"],
+            tmp_path,
+        ).decode()
+        rows = [l.split(",") for l in raw.splitlines() if l and not l.startswith("#")]
+        assert rows[0][5] == "wilson95_lo"
+        z = NormalDist().inv_cdf(0.975)
+        for row in rows[1:]:
+            trials, rejects = int(row[2]), int(row[3])
+            assert 0 < rejects < trials
+            p = rejects / trials
+            half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials))
+            lo = (p + z * z / (2 * trials) - half) / (1 + z * z / trials)
+            assert row[5] == f"{lo:.6g}"
+
     def test_sweep_determinism_across_threads(self, tmp_path):
         args = ["sweep", "--what", "queries", "--ns", "6..8", "--epss", "0.5",
                 "--seeds", "3", "--iterations", "50", "--seed", "0"]

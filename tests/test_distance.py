@@ -130,7 +130,7 @@ class TestPropertyChecks:
         assert min(checked.values()) >= 8
 
     def test_dense_closure_matches_the_sparse_closure(self):
-        # the closure of the array transform at n = 12 against the set closure
+        # the closure of the word transform at n = 12 against the set closure
         import numpy as np
 
         from setfam.rng import stream
@@ -402,7 +402,7 @@ def _union(points) -> int:
 
 class TestClosureReaders:
     """The closure table and its readers against brute force, on each side of
-    the one-word cut (n <= 6 word, n >= 7 array)."""
+    the one-word cut (n <= 6 one word, n >= 7 an array of words)."""
 
     @pytest.mark.parametrize("array", [False, True])
     @given(st.data(), st.sampled_from([0.02, 0.1, 0.3, 0.6, 0.95]),
@@ -453,9 +453,9 @@ class TestClosureReaders:
     def test_the_path_follows_the_table_size(self, monkeypatch):
         import setfam.violations as V
 
-        calls = []
-        real = V._or_below
-        monkeypatch.setattr(V, "_or_below", lambda *a: calls.append(a) or real(*a))
+        calls = []  # the band mask of each word: asked for by the word-array path alone
+        real = V._band_words
+        monkeypatch.setattr(V, "_band_words", lambda *a: calls.append(a) or real(*a))
         for n in range(1, 7):
             f = TruthTable.from_ones(n, [p for p in (1, 2, 4) if p >> n == 0])
             for uc in (True, False):
@@ -467,7 +467,7 @@ class TestClosureReaders:
         assert not calls  # one machine word: the transform on the bits
         g = union_closure(TruthTable.from_ones(7, [1, 2, 4]))
         assert g == TruthTable.from_ones(7, range(1, 8))
-        assert len(calls) == 1  # the array transform
+        assert calls == [(7, Band(0, 7))]  # two uint64 words
 
     def test_closure_peak_memory_at_n20(self):
         import tracemalloc
@@ -483,3 +483,30 @@ class TestClosureReaders:
             tracemalloc.stop()
         assert g.bits & f.bits == f.bits and g.count_ones() > f.count_ones()
         assert peak < 32 << 20
+
+    def test_closure_readers_run_at_the_table_cap(self):
+        from setfam.boolfn import ResourceCapError
+
+        sets = [1, 2, 4, 1 << 23]
+        f = TruthTable.from_ones(24, sets)
+        closure = _union_closure(sets)
+        assert set(union_closure(f).ones()) == closure
+        assert end_distinct_tuple_count(f) == len(closure) - len(sets)
+        with pytest.raises(ResourceCapError):  # the flipped set's own cap
+            repair_uc(TruthTable.from_ones(21, sets[:3]))
+
+    def test_union_closed_check_peak_memory_at_n24(self):
+        import tracemalloc
+
+        import numpy as np
+
+        raw = np.random.default_rng(24).integers(0, 256, 1 << 21, dtype=np.uint8).tobytes()
+        f = TruthTable(24, int.from_bytes(raw, "little"))  # half full: the dense path
+        tracemalloc.start()
+        try:
+            closed = is_union_closed(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not closed
+        assert peak < 40 << 20

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_testers
 from setfam.boolfn import Band, TruthTable, dictator, parse_bits
 from setfam.violations import (
     IViolatingPair,
@@ -195,6 +196,21 @@ class TestWitnessTable:
             scanned = [witness_scan(f, points[x:x + 1], band, uc)[0] == 0
                        for x in range(1 << n)]
             assert table.as_array().astype(bool).tolist() == scanned
+
+    @pytest.mark.parametrize("n", range(7, 21))
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.01, 0.1, 0.5, 0.9, 0.99]),
+           st.data())
+    @settings(max_examples=6, deadline=None)
+    def test_words_match_the_array_form(self, n, seed, density, data):
+        # the word transform against the unpacked uint32/bool array form, on
+        # bands that may be empty (lo > hi) or lie past the top weight
+        lo = data.draw(st.integers(0, n + 1), label="lo")
+        hi = data.draw(st.integers(0, n + 1), label="hi")
+        band = Band(lo, hi)
+        f = TruthTable.from_array(n, np.random.default_rng(seed).random(1 << n) < density)
+        for uc in (True, False):
+            want = reference_testers.witness_array(f, band, uc)
+            assert witness_table(f, band, uc).as_array().astype(bool).tolist() == want.tolist()
 
     def test_full_band_marks_the_property_violations(self):
         # 100 | 010 = 110 and 100 | 011 = 111 are 0-inputs; 100 is disjoint
