@@ -1,5 +1,6 @@
 """Violation predicates, witness checks, matchings, and tuple combinatorics."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -22,6 +23,7 @@ from setfam.violations import (
     level_matching,
     locality,
     max_disjoint_i_pairs,
+    min_disjoint_cover,
     min_violation_locality,
     witness_check_int,
     witness_check_uc,
@@ -273,6 +275,31 @@ class TestMaxDisjointPairs:
             pts = {p.x, p.y}
             assert not pts & seen
             seen |= pts
+
+
+class TestDisjointnessGraphSearch:
+    #: sha256 of the covers and matchings below, as min_disjoint_cover and
+    #: max_disjoint_i_pairs returned them when this digest was recorded.
+    FROZEN = "1076df44c20e5b7a4b0c6bc459f851a66c71639beafb5a905296632b63ff23f9"
+
+    @staticmethod
+    def tables():
+        """Every 16th n=4 table, then 300 seeded tables at n=5..8 with 1-30 ones."""
+        for tbl in range(0, 1 << 16, 16):
+            yield TruthTable(4, tbl)
+        rng = np.random.default_rng(20261019)
+        for _ in range(300):
+            n = int(rng.integers(5, 9))
+            k = int(rng.integers(1, 31))
+            yield TruthTable.from_ones(n, rng.choice(1 << n, k, replace=False).tolist())
+
+    def test_outputs_are_frozen(self):
+        digest = hashlib.sha256()
+        for f in self.tables():
+            size, pairs = max_disjoint_i_pairs(f)
+            digest.update(f"{f.arity} {f.bits:x} {min_disjoint_cover(f):x} {size}"
+                          f" {[(p.x, p.y) for p in pairs]}\n".encode())
+        assert digest.hexdigest() == self.FROZEN
 
 
 class TestLevelMatching:
