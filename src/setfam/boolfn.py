@@ -17,7 +17,6 @@ materialization for n <= 24 and backs the exact oracles.
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 from dataclasses import dataclass
@@ -131,9 +130,6 @@ class Band(NamedTuple):
     def weights(self) -> range:
         return range(self.lo, self.hi + 1)
 
-    def is_empty(self) -> bool:
-        return self.lo > self.hi
-
 
 def _check_eps(eps: float) -> None:
     if not 0.0 < eps < 1.0:
@@ -246,6 +242,12 @@ class QueryCounter:
 BFTT1_MAGIC = b"BFTT1\n"
 
 
+def _check_arity(arity: int) -> None:
+    """Refuse a table arity outside [1, MAX_TABLE_ARITY], before anything is sized by it."""
+    if not 1 <= arity <= MAX_TABLE_ARITY:
+        raise ValueError(f"table arity must be in [1, {MAX_TABLE_ARITY}]")
+
+
 class TruthTable:
     """Dense bit-packed function on {0,1}^n, n <= 24.
 
@@ -256,10 +258,8 @@ class TruthTable:
     __slots__ = ("arity", "bits")
 
     def __init__(self, arity: int, bits: int):
-        if not 1 <= arity <= MAX_TABLE_ARITY:
-            raise ValueError(f"table arity must be in [1, {MAX_TABLE_ARITY}]")
-        size = 1 << arity
-        if bits < 0 or bits >> size:
+        _check_arity(arity)
+        if bits < 0 or bits >> (1 << arity):
             raise ValueError("bits outside table range")
         self.arity = arity
         self.bits = bits
@@ -268,9 +268,11 @@ class TruthTable:
 
     @classmethod
     def from_ones(cls, arity: int, ones: Iterable[int]) -> "TruthTable":
+        _check_arity(arity)
+        size = 1 << arity
         bits = 0
         for p in ones:
-            if not 0 <= p < (1 << arity):
+            if not 0 <= p < size:
                 raise ValueError(f"point {p} outside arity-{arity} cube")
             bits |= 1 << p
         return cls(arity, bits)
@@ -365,6 +367,7 @@ class TruthTable:
         rest = data[len(BFTT1_MAGIC):]
         nl = rest.index(b"\n")
         arity = int(rest[:nl])
+        _check_arity(arity)
         payload = rest[nl + 1:]
         expected = ((1 << arity) + 7) // 8
         if len(payload) != expected:
@@ -384,10 +387,6 @@ class TruthTable:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TruthTable":
         return cls.from_ones(int(obj["n"]), obj["ones"])
-
-    @classmethod
-    def from_json(cls, text: str) -> "TruthTable":
-        return cls.from_json_obj(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,9 @@ dist to intersecting reduces to minimum vertex cover: removing a 1 never
 creates a disjoint 1-pair and adding a 1 never fixes one, so an optimal
 intersecting repair is f minus a minimum vertex cover of the disjointness
 graph on 1-inputs (0^n, carrying a self-loop, is forced into every cover).
+The cover is the complement of a largest intersecting subfamily, an
+independent set of that graph; one memoised search in ``violations`` finds
+it and also the maximum matching of ``max_disjoint_i_pairs``.
 dist to union-closed has no such structure; it is computed by exhaustion over
 all union-closed tables, which caps it at n <= 4.
 

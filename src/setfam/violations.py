@@ -394,7 +394,7 @@ def is_minimal_tuple(t: UcViolatingTuple) -> bool:
 
 # -- the disjointness graph on 1-inputs -----------------------------------------
 
-#: Memoised states a vertex-cover or matching search may store before refusing.
+#: Memoised states the disjointness-graph search may store before refusing.
 _STATE_CAP = 2_000_000
 
 
@@ -426,154 +426,91 @@ def _disjointness_graph(
     return zero, ones, adj
 
 
-def _strip_isolated(avail: int, adj: list[int]) -> int:
-    """avail without its vertices that have no neighbour in avail."""
-    out = avail
-    m = avail
-    while m:
-        low = m & -m
-        if not adj[low.bit_length() - 1] & avail:
-            out ^= low
-        m ^= low
-    return out
+def _best(avail: int, adj: list[int], memo: dict[int, int], takes) -> int:
+    """The most takes that fit together in avail, a bitmask of vertex indices.
 
-
-# -- exact minimum vertex cover on the disjointness graph -----------------------
-
-
-def _vc_size(avail: int, adj: list[int], memo: dict[int, int]) -> int:
-    avail = _strip_isolated(avail, adj)
-    if avail == 0:
+    ``takes(v, nb)`` lists the vertex masks that may be taken with the vertex
+    bit v, where nb is v's neighbours in avail; two takes fit together when
+    they share no vertex.  A vertex with at most one neighbour goes with that
+    neighbour, and scores 1 if takes offers anything; otherwise the search
+    branches on the lowest vertex: skip it, or take one of its takes.
+    """
+    if not avail:
         return 0
     got = memo.get(avail)
     if got is not None:
         return got
     if len(memo) > _STATE_CAP:
-        raise ResourceCapError("vertex-cover search exceeded the state cap")
-    # degree-1 reduction: covering the neighbor dominates covering the pendant
+        raise ResourceCapError("disjointness-graph search exceeded the state cap")
     m = avail
     while m:
         low = m & -m
         nb = adj[low.bit_length() - 1] & avail
-        if nb and nb & (nb - 1) == 0:
-            res = 1 + _vc_size(avail & ~(low | nb), adj, memo)
-            memo[avail] = res
-            return res
+        if nb & (nb - 1) == 0:  # at most one neighbour
+            got = (1 if takes(low, nb) else 0) + _best(avail & ~(low | nb), adj, memo, takes)
+            break
         m ^= low
-    # branch on a maximum-degree vertex: either it is in the cover, or its
-    # whole neighborhood is
-    best_v, best_deg = -1, -1
-    m = avail
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        deg = (adj[v] & avail).bit_count()
-        if deg > best_deg:
-            best_v, best_deg = v, deg
-        m ^= low
-    nb = adj[best_v] & avail
-    take_v = 1 + _vc_size(avail & ~(1 << best_v), adj, memo)
-    take_nb = nb.bit_count() + _vc_size(avail & ~(nb | (1 << best_v)), adj, memo)
-    res = min(take_v, take_nb)
-    memo[avail] = res
-    return res
+    else:
+        v = avail & -avail
+        got = _best(avail ^ v, adj, memo, takes)
+        for t in takes(v, adj[v.bit_length() - 1] & avail):
+            alt = 1 + _best(avail & ~t, adj, memo, takes)
+            if alt > got:
+                got = alt
+    memo[avail] = got
+    return got
 
 
-def _vc_witness(avail: int, adj: list[int], memo: dict[int, int]) -> list[int]:
-    cover = []
-    while True:
-        avail = _strip_isolated(avail, adj)
-        if avail == 0:
-            return cover
-        size = _vc_size(avail, adj, memo)
-        # find any vertex whose inclusion is consistent with the optimum
-        m = avail
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            if adj[v] & avail and 1 + _vc_size(avail & ~low, adj, memo) == size:
-                cover.append(v)
-                avail &= ~low
+def _replay(avail: int, adj: list[int], takes) -> list[int]:
+    """The takes of one optimum of :func:`_best`, in the order of their lowest vertex.
+
+    From the lowest vertex up: skip it when that keeps the optimum, and
+    otherwise use its first take that keeps it.
+    """
+    memo: dict[int, int] = {}
+    out = []
+    while avail:
+        v = avail & -avail
+        nb = adj[v.bit_length() - 1] & avail
+        if nb:  # else v's takes block only v, so it is skipped only if it has none
+            size = _best(avail, adj, memo, takes)
+            if _best(avail ^ v, adj, memo, takes) == size:
+                avail ^= v
+                continue
+        for t in takes(v, nb):
+            if not nb or 1 + _best(avail & ~t, adj, memo, takes) == size:
+                out.append(t)
+                avail &= ~t
                 break
-            m ^= low
-        else:  # pragma: no cover - unreachable if sizes are consistent
-            raise AssertionError("vertex-cover reconstruction failed")
+        else:
+            avail ^= v
+    return out
+
+
+def _vertex_and_one_neighbour(v: int, nb: int) -> list[int]:
+    out = []
+    while nb:
+        u = nb & -nb
+        out.append(v | u)
+        nb ^= u
+    return out
 
 
 def min_disjoint_cover(f: TruthTable, max_vertices: int = 30) -> int:
     """Minimum vertex cover of the disjointness graph on f's 1-inputs, as a point mask.
 
     Every disjoint pair of 1-inputs has a point in the cover, so f with the
-    cover set to 0 is intersecting; 0^n, a 1-input disjoint from itself, is
-    always in it.  Exact search, memoised, under the same caps as
-    :func:`max_disjoint_i_pairs`.
+    cover set to 0 is intersecting: the cover is the complement of a largest
+    intersecting subfamily, which the shared search finds as the most
+    vertices taken each with its neighbours.  0^n, a 1-input disjoint from
+    itself, is no vertex, so it is always in the cover.  Exact search,
+    memoised, under the same caps as :func:`max_disjoint_i_pairs`.
     """
-    zero, ones, adj = _disjointness_graph(f, max_vertices, "cover")
-    cover = int(zero)
-    for i in _vc_witness((1 << len(ones)) - 1, adj, {}):
-        cover |= 1 << ones[i]
-    return cover
-
-
-# -- exact maximum matching on the disjointness graph -------------------------
-
-
-def _matching_size(avail: int, adj: list[int], memo: dict[int, int]) -> int:
-    avail = _strip_isolated(avail, adj)
-    if avail == 0:
-        return 0
-    got = memo.get(avail)
-    if got is not None:
-        return got
-    if len(memo) > _STATE_CAP:
-        raise ResourceCapError("matching search exceeded the state cap")
-    # pendant reduction: a degree-1 vertex can always be matched to its
-    # unique neighbor in some maximum matching
-    m = avail
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        nb = adj[v] & avail
-        if nb and nb & (nb - 1) == 0:
-            res = 1 + _matching_size(avail & ~(low | nb), adj, memo)
-            memo[avail] = res
-            return res
-        m ^= low
-    v = (avail & -avail).bit_length() - 1
-    best = _matching_size(avail & ~(1 << v), adj, memo)  # v stays unmatched
-    nb = adj[v] & avail
-    while nb:
-        lowu = nb & -nb
-        u = lowu.bit_length() - 1
-        best = max(best, 1 + _matching_size(avail & ~((1 << v) | lowu), adj, memo))
-        nb ^= lowu
-    memo[avail] = best
-    return best
-
-
-def _matching_witness(avail: int, adj: list[int], memo: dict[int, int]) -> list[tuple[int, int]]:
-    pairs = []
-    while True:
-        avail = _strip_isolated(avail, adj)
-        if avail == 0:
-            return pairs
-        size = _matching_size(avail, adj, memo)
-        v = (avail & -avail).bit_length() - 1
-        if _matching_size(avail & ~(1 << v), adj, memo) == size:
-            avail &= ~(1 << v)
-            continue
-        nb = adj[v] & avail
-        while nb:
-            lowu = nb & -nb
-            u = lowu.bit_length() - 1
-            rest = avail & ~((1 << v) | lowu)
-            if 1 + _matching_size(rest, adj, memo) == size:
-                pairs.append((v, u))
-                avail = rest
-                break
-            nb ^= lowu
-        else:  # pragma: no cover - unreachable if sizes are consistent
-            raise AssertionError("matching reconstruction failed")
+    _, ones, adj = _disjointness_graph(f, max_vertices, "cover")
+    kept = 0
+    for t in _replay((1 << len(ones)) - 1, adj, lambda v, nb: (v | nb,)):
+        kept |= 1 << ones[(t & -t).bit_length() - 1]
+    return f.bits & ~kept
 
 
 def max_disjoint_i_pairs(
@@ -582,19 +519,19 @@ def max_disjoint_i_pairs(
     """Maximum-sized set of disjoint I-violating pairs of f, with a witness.
 
     This is a maximum matching in the graph on 1-inputs whose edges join
-    disjoint pairs.  0^n, if a 1-input, is disjoint from everything including
-    itself: it is taken as the self-loop pair (0, 0), which blocks its vertex
-    (pairing it with a partner never beats the self-loop plus leaving the
-    partner free).  Exact search, branch on the lowest eligible vertex with
-    memoization; graphs here are sparse because disjoint partners of x live
-    inside the complement subcube of x.
+    disjoint pairs, found by the same search as :func:`min_disjoint_cover`
+    with each vertex taken together with one neighbour.  0^n, if a 1-input,
+    is disjoint from everything including itself: it is taken as the
+    self-loop pair (0, 0), which blocks its vertex (pairing it with a
+    partner never beats the self-loop plus leaving the partner free).
+    Graphs here are sparse because disjoint partners of x live inside the
+    complement subcube of x.
     """
     zero, ones, adj = _disjointness_graph(f, max_vertices, "matching")
     pairs = [IViolatingPair(0, 0)] if zero else []
-    memo: dict[int, int] = {}
-    full = (1 << len(ones)) - 1
-    for i, j in _matching_witness(full, adj, memo):
-        pairs.append(IViolatingPair(ones[i], ones[j]))
+    for t in _replay((1 << len(ones)) - 1, adj, _vertex_and_one_neighbour):
+        low = t & -t
+        pairs.append(IViolatingPair(ones[low.bit_length() - 1], ones[(t ^ low).bit_length() - 1]))
     return len(pairs), pairs
 
 

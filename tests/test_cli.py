@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from setfam.cli import main, resolve_function
 from setfam.boolfn import TruthTable
 
@@ -106,6 +108,16 @@ class TestResolveFunction:
         j = tmp_path / "t.json"
         j.write_text(json.dumps(tt.to_json_obj()))
         assert resolve_function(str(j), None) == tt
+
+    def test_table_arity_is_checked_before_sizing(self, tmp_path):
+        # 2^(10^12) points: sizing anything by the arity first would never finish
+        p = tmp_path / "t.bftt1"
+        p.write_bytes(b"BFTT1\n1000000000000\n\x06")
+        j = tmp_path / "t.json"
+        j.write_text(json.dumps({"n": 10**12, "ones": [1]}))
+        for path in (p, j):
+            with pytest.raises(ValueError, match=r"table arity must be in \[1, 24\]"):
+                resolve_function(str(path), None)
 
     def test_instance_json(self, tmp_path):
         run_cli(["gen", "--kind", "uc-yes", "--n", "16", "--eps", "0.0625",

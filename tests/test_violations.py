@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_testers
-from setfam.boolfn import Band, TruthTable, dictator, parse_bits
+from setfam import violations
+from setfam.boolfn import Band, ResourceCapError, TruthTable, dictator, parse_bits
 from setfam.violations import (
     IViolatingPair,
     TripleCertificate,
@@ -300,6 +301,16 @@ class TestDisjointnessGraphSearch:
             digest.update(f"{f.arity} {f.bits:x} {min_disjoint_cover(f):x} {size}"
                           f" {[(p.x, p.y) for p in pairs]}\n".encode())
         assert digest.hexdigest() == self.FROZEN
+
+    def test_state_cap_refuses(self, monkeypatch):
+        # 30 of the 36 points of weight 1-2 at n=8: most pairs are disjoint
+        pool = [p for p in range(1, 256) if p.bit_count() <= 2]
+        ones = np.random.default_rng(1).choice(pool, 30, replace=False).tolist()
+        f = TruthTable.from_ones(8, ones)
+        monkeypatch.setattr(violations, "_STATE_CAP", 100)
+        for search in (min_disjoint_cover, max_disjoint_i_pairs):
+            with pytest.raises(ResourceCapError, match="state cap"):
+                search(f)
 
 
 class TestLevelMatching:
