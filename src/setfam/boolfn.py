@@ -669,12 +669,10 @@ def sample_band_weights(n: int, band: Band, rng: np.random.Generator, size: int)
     """Weight classes for ``size`` uniform draws from the banded cube (n <= 63).
 
     Class j is hit with probability C(n,j)/sum over the band, using exact
-    integer arithmetic: j - band.lo is the number of cumulative class sizes
-    at most the draw of :func:`_band_draws`.
+    integer arithmetic: the draws of :func:`_band_draws` are looked up as
+    draws below weight n, the banded cube's row of :func:`_downset_class`.
     """
-    _, cum = _downset_classes(n, band)
-    idx = np.searchsorted(cum[n], _band_draws(n, band, rng, size), side="right")
-    return np.asarray(band.lo + idx, dtype=np.int64)
+    return _downset_class(n, band, n, _band_draws(n, band, rng, size))
 
 
 def _band_draws(n: int, band: Band, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -700,13 +698,25 @@ def _downset_draws(
     return rng.integers(0, totals[ws], dtype=np.uint64)
 
 
-@lru_cache(maxsize=256)
-def _downset_bounds(n: int, band: Band) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(bounds, starts, first): every weight's cumulative class sizes in one sorted array.
+#: The most entries an inverse-CDF table of _downset_bounds may hold: 32 KiB
+#: as int64, so the 256 cached (n, band) pairs stay under 8 MiB.  Every band
+#: fits at n <= 11, where the totals sum to at most 2^(n+1) - 1.
+_LUT_SIZE = 1 << 12
 
-    Weight w's sizes are shifted by starts[w], the sum of the totals below
-    w, and begin at bounds[first[w]].  The sum of all totals is below 2^64
-    for n <= 63, so the shifted sizes stay exact in uint64.
+
+@lru_cache(maxsize=256)
+def _downset_bounds(
+    n: int, band: Band
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """(bounds, starts, first, lut): every weight's draws on one shifted axis.
+
+    Weight w's draws u < totals[w] are shifted by starts[w], the sum of the
+    totals below w.  bounds holds every weight's cumulative class sizes so
+    shifted, in one sorted array; weight w's begin at bounds[first[w]].  The
+    sum of all totals is below 2^64 for n <= 63, so the shifted sizes stay
+    exact in uint64.  When that sum is at most _LUT_SIZE, lut is the exact
+    inverse-CDF table, lut[starts[w] + u] = the class of draw u below w (int64);
+    above it lut is None.
     """
     totals, cum = _downset_classes(n, band)
     starts = np.zeros(n + 1, dtype=np.uint64)
@@ -715,19 +725,31 @@ def _downset_bounds(n: int, band: Band) -> tuple[np.ndarray, np.ndarray, np.ndar
     counts = classes.sum(axis=1)
     bounds = cum[classes] + np.repeat(starts, counts)
     first = np.cumsum(counts) - counts
+    lut = None
+    size = int(starts[n] + totals[n])
+    if size <= _LUT_SIZE:
+        every = np.arange(size, dtype=np.uint64)
+        owner = np.repeat(np.arange(n + 1), totals.astype(np.intp))
+        lut = band.lo + np.searchsorted(bounds, every, side="right") - first[owner]
+        lut.flags.writeable = False
     bounds.flags.writeable = starts.flags.writeable = first.flags.writeable = False
-    return bounds, starts, first
+    return bounds, starts, first, lut
 
 
-def _downset_class(n: int, band: Band, ws: np.ndarray, us: np.ndarray) -> np.ndarray:
+def _downset_class(n: int, band: Band, ws: np.ndarray | int, us: np.ndarray) -> np.ndarray:
     """Weight class j of each draw u of us below its weight in ws (broadcast).
 
-    j is band.lo plus the number of weight w's cumulative class sizes <= u,
-    found by one ``searchsorted`` of starts[w] + u over every weight's
-    shifted sizes (:func:`_downset_bounds`).
+    j is band.lo plus the number of weight w's cumulative class sizes <= u.
+    With starts[w] + u as the key (:func:`_downset_bounds`), it is one gather
+    from the inverse-CDF table where the table exists, else one
+    ``searchsorted`` over every weight's shifted sizes.  Either way it is
+    exact, and an int64 array shaped like the broadcast.
     """
-    bounds, starts, first = _downset_bounds(n, band)
-    return band.lo + np.searchsorted(bounds, starts[ws] + us, side="right") - first[ws]
+    bounds, starts, first, lut = _downset_bounds(n, band)
+    keys = starts[ws] + us
+    if lut is not None:
+        return lut.take(keys)
+    return band.lo + np.searchsorted(bounds, keys, side="right") - first[ws]
 
 
 #: From this many rows (and up to n = 16 columns) _lowest ranks columns.

@@ -13,9 +13,12 @@ even pairs and the change first in odd ones.  The record goes to
 BENCH_<change commit>.json at the repository root: per workload and
 end-to-end metric, the parent's and the change's median and quartiles
 (``statistics.quantiles`` n=4), the median's change in percent, the pairs
-in which the change did better, and whether every run was correct with no
-failed operation; plus each run's figures, the machine, the versions, and
-both commits with the line count of their src/setfam.  A record of four
+in which the change did better, two verdicts (``gain_shown``: the change
+won at least 9 of 10 pairs and its median is better by more than the
+parent's q3 - q1; ``within_bound``: its median is worse by at most the
+metric's bound), and whether every run was correct with no failed
+operation; plus each run's figures, the machine, the versions, and both
+commits with the line count of their src/setfam.  A record of four
 workloads took about two hours on a 2-core machine: each run adds its
 set-up samples to the 25 s it measures.
 """
@@ -76,7 +79,13 @@ def summary(values: list[float]) -> dict:
 
 
 def compare(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per end-to-end metric: both sides' medians and quartiles, and the pair wins."""
+    """Per end-to-end metric: both sides' medians and quartiles, the pair wins, two verdicts.
+
+    gain_shown: the change did better in at least 9 of 10 pairs and its median
+    is better than the parent's by more than the parent's q3 - q1.
+    within_bound: the change's median is worse than the parent's by at most
+    the metric's bound, a fraction of the parent's median.
+    """
     out = {}
     for m in metrics:
         name, higher = m["name"], m["better"] == "higher"
@@ -88,11 +97,15 @@ def compare(runs: list[dict], metrics: list[dict]) -> dict:
         parent = summary([p for p, _ in pairs])
         change = summary([c for _, c in pairs])
         wins = sum((c > p) if higher else (c < p) for p, c in pairs)
+        gain = change["median"] - parent["median"] if higher else parent["median"] - change["median"]
         out[name] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
                      "parent": parent, "change": change,
                      "median_change_pct": 100.0 * (change["median"] / parent["median"] - 1.0)
                      if parent["median"] else None,
-                     "change_wins": wins, "pairs": len(pairs)}
+                     "change_wins": wins, "pairs": len(pairs),
+                     "gain_shown": 10 * wins >= 9 * len(pairs)
+                     and gain > parent["q3"] - parent["q1"],
+                     "within_bound": -gain <= m["bound"] * abs(parent["median"])}
     return out
 
 
