@@ -15,8 +15,10 @@ from setfam.boolfn import (
     EnumerationCapError,
     QueryCounter,
     TruthTable,
+    _LUT_SIZE,
     _answers,
     _batch_band_points,
+    _downset_bounds,
     _downset_class,
     _downset_classes,
     _downset_draws,
@@ -269,11 +271,27 @@ class TestRoundKernels:
         assert got.dtype == np.uint64
         assert got.tolist() == reference_testers.lowest(values, counts).tolist()
 
-    @pytest.mark.parametrize("n", range(1, 11))
+    class EveryDraw:
+        """A generator stand-in whose ``integers(0, total, size)`` is every draw below total."""
+
+        def integers(self, low, high, size, dtype):
+            return np.arange(low, high, dtype=dtype)
+
+    # n <= 11 runs the inverse-CDF table for every band, n = 12, 13 the search for wide ones
+    @pytest.mark.parametrize("n", range(1, 14))
     def test_downset_class_matches_the_compare_sum_at_every_draw(self, n):
         for band in {Band(0, n), Band(1, n - 1), mid_band(n, 0.5), mid_band(n, 0.9, widened=True),
                      Band(n // 2, n // 2), Band(n, n), Band(0, 0)}:
             totals, _ = _downset_classes(n, band)
+            lut = _downset_bounds(n, band)[3]
+            assert (lut is None) == (int(totals.sum()) > _LUT_SIZE)  # the table's own size
+            if band == Band(0, n):
+                assert (lut is None) == (n > 11)
+            if totals[n]:  # the banded cube's own row, drawn through sample_band_weights
+                top = np.arange(totals[n], dtype=np.uint64)
+                got = sample_band_weights(n, band, self.EveryDraw(), int(totals[n]))
+                assert got.dtype == np.int64
+                assert got.tolist() == reference_testers.downset_class(n, band, n, top).tolist()
             ws = np.repeat(np.arange(n + 1), totals.astype(np.intp))
             us = np.concatenate([np.arange(t, dtype=np.uint64) for t in totals])
             want = reference_testers.downset_class(n, band, ws, us)
