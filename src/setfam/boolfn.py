@@ -74,16 +74,24 @@ TABLE_BLOCK = 1 << 15
 
 
 class ResourceCapError(RuntimeError):
-    """A computation would exceed a configured resource cap."""
+    """A computation would exceed a configured resource cap.
+
+    ``predicted`` is the refused size and ``cap`` its limit, in the cap's
+    unit, where the raise site knows them; otherwise they are None.
+    """
+
+    def __init__(self, message: str, predicted: int | None = None, cap: int | None = None):
+        super().__init__(message)
+        self.predicted = predicted
+        self.cap = cap
 
 
 class EnumerationCapError(ResourceCapError):
     """Predicted enumeration size exceeds the cap (reported, never truncated)."""
 
     def __init__(self, predicted: int, cap: int):
-        super().__init__(f"banded downset has {predicted} points, exceeding cap {cap}")
-        self.predicted = predicted
-        self.cap = cap
+        super().__init__(f"banded downset has {predicted} points, exceeding cap {cap}",
+                         predicted, cap)
 
 
 def weight(x: int) -> int:

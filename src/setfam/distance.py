@@ -89,7 +89,7 @@ def _prefer_dense(n: int, k: int) -> bool:
 
 def _check_table_arity(f: TruthTable, cap: int) -> None:
     if f.arity > cap:
-        raise ResourceCapError(f"operation capped at n <= {cap}, got n = {f.arity}")
+        raise ResourceCapError(f"operation capped at n <= {cap}, got n = {f.arity}", f.arity, cap)
 
 
 def is_union_closed(f: TruthTable) -> bool:
@@ -170,7 +170,7 @@ def dist_uc_exact(f: TruthTable) -> DistanceResult:
     optimal union-closed table in ascending mask order.
     """
     if f.arity > 4:
-        raise ResourceCapError("dist_uc_exact is exhaustive and capped at n <= 4")
+        raise ResourceCapError("dist_uc_exact is exhaustive and capped at n <= 4", f.arity, 4)
     candidates = _all_union_closed_masks(f.arity)
     dists = popcount_array(np.bitwise_xor(candidates, np.uint64(f.bits)).astype(np.uint16))
     best = int(np.argmin(dists))

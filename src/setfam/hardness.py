@@ -98,7 +98,7 @@ def talagrand_params(n: int, eps: float) -> tuple[int, int]:
     if num_terms < 1:
         raise ValueError(f"term count rounds to 0 at (n={n}, eps={eps})")
     if num_terms > MAX_TERMS:
-        raise ResourceCapError(f"{num_terms} terms exceeds cap {MAX_TERMS}")
+        raise ResourceCapError(f"{num_terms} terms exceeds cap {MAX_TERMS}", num_terms, MAX_TERMS)
     return term_size, num_terms
 
 
@@ -344,7 +344,8 @@ class _Instance:
     def materialize(self) -> TruthTable:
         """Full table over 2^arity points, evaluated a block at a time."""
         if self.arity > MAX_TABLE_ARITY:
-            raise ResourceCapError(f"materialize is capped at arity <= {MAX_TABLE_ARITY}")
+            raise ResourceCapError(f"materialize is capped at arity <= {MAX_TABLE_ARITY}",
+                                   self.arity, MAX_TABLE_ARITY)
         return TruthTable.from_callable(self)
 
     def to_json_obj(self) -> dict:
@@ -360,7 +361,7 @@ class _Instance:
 def _unique_term_counts(dnf: TalagrandDnf) -> np.ndarray:
     """Per term, the control assignments that satisfy it and no other, by a scan of all of them."""
     if dnf.n > 22:
-        raise ResourceCapError("control space too large to scan")
+        raise ResourceCapError("control space too large to scan", dnf.n, 22)
     ell = _unique_terms(np.arange(1 << dnf.n, dtype=np.uint64), dnf.terms)
     return np.bincount(ell[ell >= 0], minlength=dnf.num_terms)
 

@@ -49,11 +49,17 @@ reported queries are still 3 (2) per round.  Both use one call of the
 oracle's ``batch`` method per block or per stage of a chunk when it has
 one, and evaluate point by point otherwise, so an oracle may also see
 points of the iterations after the rejecting one in its block or chunk;
-those answers are not counted and cannot change the report.  A
-``TruthTable`` of at most 2^12 points is read whole once per witness-tester
-run instead: its ``violations.witness_table`` (a ``TruthTable``) answers each
-chunk with one ``batch`` call, and only the rejecting iteration's check is
-evaluated, for its certificate.  The reported queries stay those above.
+those answers are not counted and cannot change the report.
+
+A ``TruthTable`` of at most 2^12 points is read whole once per run instead:
+its ``violations.witness_table`` for the tester's band (a ``TruthTable``)
+answers each chunk's xs with one ``batch`` call.  A witness tester then
+evaluates only the rejecting iteration's check, for its certificate.  A
+round tester keeps only the rounds whose x has a witness in place of the
+f(x) stage, and runs the rest of its stages on them: a rejecting round's
+y1 and y2 (y) are band 1-inputs below x whose union is x (below x's
+complement), so its x has one.  Every round's draws are still read, so the
+draws and reports do not change.  The reported queries stay those above.
 
 Identical (f, config) therefore reproduces identical reports byte for byte,
 and iterations stay independent given the weight batch.
@@ -169,8 +175,8 @@ def _tau_rounds(cfg: TesterConfig, n: int) -> int:
     rounds = math.ceil(100.0 / tau_success_rate(n, cfg.eps, cfg.tau_constant))
     if rounds > ROUNDS_CAP:
         raise ResourceCapError(
-            f"{rounds} rounds exceeds the cap {ROUNDS_CAP}; set max_iterations"
-        )
+            f"{rounds} rounds exceeds the cap {ROUNDS_CAP}; set max_iterations",
+            rounds, ROUNDS_CAP)
     return rounds
 
 
@@ -240,15 +246,24 @@ def _segments(
     return [_cursor(rng, k * rounds * n) for k in range(1, count + 1)]
 
 
+def _small_witness_table(f, band: Band, uc: bool) -> TruthTable | None:
+    """f's :func:`witness_table` for band and rule if f is a table of at most BLOCK points.
+
+    Such a table answers every witness check at once; other oracles and
+    larger tables get None and evaluate their checks.
+    """
+    if isinstance(f, TruthTable) and 1 << f.arity <= BLOCK:
+        return witness_table(f, band, uc)
+    return None
+
+
 def _witness_tester(f, cfg: TesterConfig, uc: bool) -> TesterReport:
     n = f.arity
     band = mid_band(n, cfg.eps)
     m = _iterations(cfg)
     rng = stream(cfg.seed)
     weights = _weight_chunks(n, band, m, rng)
-    # a small table answers every check at once; larger ones enumerate
-    small = isinstance(f, TruthTable) and 1 << n <= BLOCK
-    table = witness_table(f, band, uc) if small else None
+    table = _small_witness_table(f, band, uc)
     queries = 0
     for (start, _), ws in zip(_chunks(m), weights):
         xs = _batch_band_points(n, ws, rng)
@@ -291,6 +306,7 @@ def uc_triple_tester(f, cfg: TesterConfig) -> TesterReport:
     rounds = _tau_rounds(cfg, n)
     rng = stream(cfg.seed)
     weights = _weight_chunks(n, band, rounds, rng)
+    table = _small_witness_table(f, band, True)
     rows1, rows2, draws = _segments(rng, rounds, n, 3)
     for (start, stop), ws in zip(_chunks(rounds), weights):
         size = stop - start
@@ -298,8 +314,9 @@ def uc_triple_tester(f, cfg: TesterConfig) -> TesterReport:
         r1 = rows1.random((size, n))
         r2 = rows2.random((size, n))
         us = _downset_draws(draws, n, band, np.repeat(ws, 2)).reshape(size, 2)
-        # a round can reject only if f(x) = 0 and |y1| + |y2| >= |x|, then f(y1) = 1
-        live = np.flatnonzero(_answers(f, xs) == 0)
+        # a round can reject only at a witness point x (f(x) = 0 at least),
+        # and only if |y1| + |y2| >= |x|, then f(y1) = 1
+        live = np.flatnonzero(_answers(f, xs) == 0 if table is None else table.batch(xs))
         w = ws[live]
         j1, j2 = _downset_class(n, band, w[:, None], us[live]).T
         fits = j1 + j2 >= w
@@ -331,13 +348,15 @@ def int_pair_tester(f, cfg: TesterConfig) -> TesterReport:
     rounds = _tau_rounds(cfg, n)
     rng = stream(cfg.seed)
     weights = _weight_chunks(n, band, rounds, rng)
+    table = _small_witness_table(f, band, False)
     rows, draws = _segments(rng, rounds, n, 2)
     for (start, stop), ws in zip(_chunks(rounds), weights):
         size = stop - start
         xs = _batch_band_points(n, ws, rng)
         r = rows.random((size, n))
         us = _downset_draws(draws, n, band, n - ws)
-        live = np.flatnonzero(_answers(f, xs) == 1)  # only f(x) = 1 can reject
+        # only a witness point x (f(x) = 1 at least) can reject
+        live = np.flatnonzero(_answers(f, xs) == 1 if table is None else table.batch(xs))
         js = _downset_class(n, band, n - ws[live], us[live])
         ys = _subsets(xs[live] ^ full, js, r[live])
         bad = np.flatnonzero(_answers(f, ys) == 1)

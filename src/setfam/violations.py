@@ -415,8 +415,8 @@ def _disjointness_graph(
         ones = ones[1:]
     if len(ones) > max_vertices:
         raise ResourceCapError(
-            f"{len(ones)} one-inputs exceeds the {cap_name} cap {max_vertices}"
-        )
+            f"{len(ones)} one-inputs exceeds the {cap_name} cap {max_vertices}",
+            len(ones), max_vertices)
     adj = [0] * len(ones)
     for i, u in enumerate(ones):
         for j in range(i + 1, len(ones)):
@@ -441,7 +441,8 @@ def _best(avail: int, adj: list[int], memo: dict[int, int], takes) -> int:
     if got is not None:
         return got
     if len(memo) > _STATE_CAP:
-        raise ResourceCapError("disjointness-graph search exceeded the state cap")
+        raise ResourceCapError("disjointness-graph search exceeded the state cap",
+                               cap=_STATE_CAP)
     m = avail
     while m:
         low = m & -m
@@ -552,7 +553,8 @@ def level_matching(a: int, w: int, max_size: int = 200_000) -> list[tuple[int, i
         raise ValueError(f"need 0 <= w < a/2, got w={w}, a={a}")
     n_left = math.comb(a, w)
     if n_left > max_size:
-        raise ResourceCapError(f"level has {n_left} points, exceeding cap {max_size}")
+        raise ResourceCapError(f"level has {n_left} points, exceeding cap {max_size}",
+                               n_left, max_size)
     from itertools import combinations
 
     out = []
@@ -609,10 +611,11 @@ def min_violation_locality(f: TruthTable, max_ones: int = 4096) -> int | None:
     Each 1-input's pairs with the later 1-inputs are looked up together.
     """
     if f.arity > 20:
-        raise ResourceCapError("min_violation_locality is capped at n <= 20")
+        raise ResourceCapError("min_violation_locality is capped at n <= 20", f.arity, 20)
     ones = np.array(f.ones(), dtype=np.uint64)
     if len(ones) > max_ones:
-        raise ResourceCapError(f"{len(ones)} one-inputs exceeds cap {max_ones}")
+        raise ResourceCapError(f"{len(ones)} one-inputs exceeds cap {max_ones}",
+                               len(ones), max_ones)
     values = f.as_array()
     weights = popcount_array(ones)
     best: int | None = None

@@ -1,6 +1,7 @@
 """The round testers evaluating every round: the tests' reference.
 
-``setfam.testers`` evaluates f(x) first and builds the subsets only for the
+``setfam.testers`` filters every round by f(x), or for a table of at most
+2^12 points by its witness table, and builds the subsets only for the
 rounds that can still reject.  These are the chunk bodies that build every
 round's x, y1 and y2 (x and y) and evaluate all of them in one call, with
 the subset rule written out as a per-row gather, so the tests can compare

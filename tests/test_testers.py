@@ -226,6 +226,19 @@ class TestDeterminismAndConfig:
         with pytest.raises(ResourceCapError):
             uc_triple_tester(f, TesterConfig(eps=0.1, seed=0))
 
+    @pytest.mark.parametrize("alg", [uc_triple_tester, int_pair_tester])
+    def test_the_rounds_cap_refusal_carries_its_numbers(self, alg):
+        from setfam.testers import ROUNDS_CAP
+
+        rounds = math.ceil(100.0 / tau_success_rate(40, 0.1))
+        with pytest.raises(ResourceCapError) as exc:
+            alg(dictator(40, 1), TesterConfig(eps=0.1, seed=0))
+        assert (exc.value.predicted, exc.value.cap) == (rounds, ROUNDS_CAP)
+        assert rounds > ROUNDS_CAP
+        assert str(exc.value) == f"{rounds} rounds exceeds the cap {ROUNDS_CAP}; set max_iterations"
+        bare = ResourceCapError("no sizes known")
+        assert (bare.predicted, bare.cap) == (None, None)
+
     def test_tau_monotone_in_n(self):
         taus = [tau_success_rate(n, 0.25) for n in range(2, 20)]
         assert all(a > b for a, b in zip(taus, taus[1:]))
@@ -361,11 +374,13 @@ class TestRoundCascade:
         # chunks of 2,048 rounds and more pick points by column ranks; the
         # late rejects fall in such a chunk, the accepting runs reach 8,192
         import setfam.boolfn as B
+        import setfam.testers as T
+        from setfam.boolfn import BooleanFunction
 
-        large = []
+        rows = []  # the rows of each _lowest call: points, then each subset stage, per chunk
         lowest = B._lowest
         monkeypatch.setattr(B, "_lowest", lambda keys, counts: (
-            large.append(len(keys) >= B._RANK_ROWS) or lowest(keys, counts)))
+            rows.append(len(keys)) or lowest(keys, counts)))
         rounds = 16320
         for n in (5, 6, 9):
             dictator_ones = [x for x in range(1 << n) if x & 1]
@@ -375,9 +390,19 @@ class TestRoundCascade:
             late = {"uc": (TruthTable.from_array(n, stream(95, n, k).random(1 << n) < 0.05), k),
                     "int": (TruthTable.from_ones(n, [0]), seed)}
             for kind in ("uc", "int"):
-                large.clear()
-                got, want = self.both(kind, accept[kind], TesterConfig(0.5, n, rounds))
+                cfg = TesterConfig(0.5, n, rounds)
+                # the table's empty witness table leaves its subset stages no live row
+                rows.clear()
+                alg, per_round = self.ALGS[kind]
+                assert alg(accept[kind], cfg).verdict == "accept"
+                assert rows[::per_round] == [stop - start for start, stop in T._chunks(rounds)]
+                assert not any(r for i, r in enumerate(rows) if i % per_round), (n, kind)
+                # the wrapper's f(x) stage sends the rounds with f(x) = 0 (1) on
+                rows.clear()
+                point = BooleanFunction(n, accept[kind], accept[kind].batch)
+                got, want = self.both(kind, point, cfg)
                 assert got == want and '"verdict":"accept"' in got, (n, kind)
+                large = [r >= B._RANK_ROWS for r in rows]
                 assert large.count(True) >= 4, (n, kind)  # points and subsets, in two chunks
                 f, seed = late[kind]
                 got, want = self.both(kind, f, TesterConfig(0.5, seed, rounds))
