@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -129,6 +130,52 @@ class TestSoundnessSmall:
         p = 1 / 32
         sigma = math.sqrt(n_seeds * p * (1 - p))
         assert abs(hits - n_seeds * p) < 4.5 * sigma
+
+    @staticmethod
+    def exact_round_success(f, eps: float, triple: bool) -> Fraction:
+        """A round's reject probability, by enumerating (x, y1, y2) or (x, y).
+
+        x is uniform on the banded cube; each y is uniform on the banded
+        downset of x (3-query tester, widened band) or of its complement.
+        """
+        n = f.arity
+        band = mid_band(n, eps, widened=triple)
+        full = (1 << n) - 1
+
+        def below(z):
+            return [y for y in range(1 << n) if y & ~z == 0 and y.bit_count() in band]
+
+        cube = below(full)
+        total = Fraction(0)
+        for x in cube:
+            if triple and f(x) == 0:
+                down = below(x)
+                ones = [y for y in down if f(y)]
+                total += Fraction(sum(y1 | y2 == x for y1 in ones for y2 in ones),
+                                  len(down) ** 2)
+            elif not triple and f(x) == 1:
+                down = below(x ^ full)
+                total += Fraction(sum(map(f, down)), len(down))
+        return total / len(cube)
+
+    def test_round_success_matches_enumeration_at_small_n(self):
+        # one-round runs over many seeds reject Binomial(runs, p) times
+        tables = [(uc_triple_tester, TruthTable.from_ones(2, [bits("01"), bits("10")]))]
+        tables += [(uc_triple_tester, TruthTable.from_array(n, stream(96, n).random(1 << n) < 0.5))
+                   for n in (4, 5)]
+        tables += [(int_pair_tester, TruthTable.from_array(n, stream(96, n).random(1 << n) < d))
+                   for n, d in ((3, 0.7), (4, 0.5), (5, 0.3))]
+        runs, eps = 1000, 0.5
+        for alg, f in tables:
+            p = self.exact_round_success(f, eps, alg is uc_triple_tester)
+            assert p > 0.015, (alg.__name__, f.arity, p)
+            if f.arity == 2:
+                assert p == Fraction(1, 32)  # the closed form of the toy above
+            rejects = sum(
+                alg(f, TesterConfig(eps=eps, seed=10**6 + s, max_iterations=1)).verdict == "reject"
+                for s in range(runs))
+            z = (rejects - runs * p) / math.sqrt(runs * p * (1 - p))
+            assert abs(z) < 5, (alg.__name__, f.arity, float(p), rejects)
 
     def test_triple_certificate_locality_is_band_bounded(self):
         # both lower points of a rejected triple lie in the widened band
@@ -349,6 +396,30 @@ class TestRoundCascade:
                 mp.setattr(T, "CHUNK_MAX", chunks[0] + chunks[1])
             got, want = self.both(kind, f, cfg)
         assert got == want
+
+    @given(n=st.integers(1, 13), density=st.sampled_from([0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98]),
+           table_seed=st.integers(0, 2**16), kind=st.sampled_from(["uc", "int"]),
+           eps=st.sampled_from([0.1, 0.25, 0.5, 0.9]), seed=st.integers(0, 2**32),
+           rounds=st.integers(1, 300),
+           chunks=st.one_of(st.none(), st.tuples(st.integers(1, 6), st.integers(0, 12))))
+    @settings(max_examples=200)
+    def test_the_witness_table_stage_gives_the_f_x_stage_reports(
+            self, n, density, table_seed, kind, eps, seed, rounds, chunks):
+        # a table of at most BLOCK points (n <= 12) picks its live rounds from
+        # its witness table; the same function behind a BooleanFunction
+        # evaluates f(x) instead; n = 13 takes the f(x) stage both ways
+        import setfam.testers as T
+        from setfam.boolfn import BooleanFunction
+
+        f = TruthTable.from_array(n, stream(table_seed, n).random(1 << n) < density)
+        point = BooleanFunction(n, f, f.batch)
+        alg, _ = self.ALGS[kind]
+        cfg = TesterConfig(eps=eps, seed=seed, max_iterations=rounds)
+        with pytest.MonkeyPatch.context() as mp:
+            if chunks is not None:
+                mp.setattr(T, "CHUNK_MIN", chunks[0])
+                mp.setattr(T, "CHUNK_MAX", chunks[0] + chunks[1])
+            assert alg(f, cfg).to_json() == alg(point, cfg).to_json()
 
     def test_grid_covers_accepts_first_round_and_late_rejects(self, monkeypatch):
         import setfam.testers as T

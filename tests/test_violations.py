@@ -335,6 +335,22 @@ class TestLevelMatching:
             level_matching(4, 2)
 
 
+class TestCapRefusals:
+    def test_refusals_carry_the_size_and_the_cap(self):
+        from setfam.distance import dist_uc_exact
+
+        refusals = [
+            (lambda: level_matching(10, 4, max_size=100), 210, 100),
+            (lambda: min_violation_locality(TruthTable.from_ones(6, range(10)), max_ones=5), 10, 5),
+            (lambda: min_violation_locality(TruthTable(21, 0)), 21, 20),
+            (lambda: dist_uc_exact(TruthTable(5, 0)), 5, 4),
+        ]
+        for call, predicted, cap in refusals:
+            with pytest.raises(ResourceCapError) as exc:
+                call()
+            assert (exc.value.predicted, exc.value.cap) == (predicted, cap)
+
+
 class TestAugmentAndLocality:
     def test_k2(self):
         f = TruthTable.from_ones(2, [1, 2])
