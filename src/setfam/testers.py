@@ -30,10 +30,16 @@ and at W + 2R*n for the 2-query tester.  The scalar draws also keep the
 Chunks.  The testers work through their iterations in chunks of 64, 128,
 ... rounds, doubling up to 8192.  A run of more than one chunk draws the
 weight batch once to find W, then again chunk by chunk from a Philox cursor
-at its start; the 3-/2-query testers also open a cursor at each later
-segment's offset.  Reading every segment chunk by chunk gives the same draws
-as reading it whole, so memory is O(8192 * n) for any R, and a run that
-rejects early draws at most one chunk beyond its last iteration.
+at its start.  A 3-/2-query tester reads a chunk's y rows and scalar draws
+only if the chunk has a live round (see Queries), from cursors at each
+segment's offset; a run of one chunk reads them from the stream itself.
+After skipped chunks the row cursors reopen at W + k*R*n + start*n, and the
+skipped chunks' scalar draws, whose word count varies, are made first, from
+their weights drawn again off a saved state of the weight cursor.  So the
+draws are those of reading every segment whole, and as the catch-up too goes
+chunk by chunk, memory is O(8192 * n) for any R.  A run that rejects early
+draws at most one chunk beyond its last iteration; a run with no live chunk
+draws no y row and no scalar draw.
 
 Queries.  A run reports the queries of the iterations it ran up to and
 including the first rejecting one: 1 + |banded downset| per iteration for
@@ -41,10 +47,10 @@ the witness testers, and 3 (2) per round for the 3-query (2-query) tester.
 The witness testers evaluate a chunk in blocks of at most 2^12 points
 (``boolfn.BLOCK``): x and the banded downset of consecutive iterations
 together, or one large downset over several blocks.  The round testers
-evaluate every round's x first, then y only for the rounds that can still
-reject: the 2-query tester where f(x) = 1; the 3-query tester y1 where
-f(x) = 0 and |y1| + |y2| >= |x| (y1 | y2 = x needs it), then y2 where also
-f(y1) = 1.  The first rejecting round in round order is reported; the
+evaluate every round's x first, then y only for the live rounds, which can
+still reject: the 2-query tester where f(x) = 1; the 3-query tester y1
+where f(x) = 0 and |y1| + |y2| >= |x| (y1 | y2 = x needs it), then y2
+where also f(y1) = 1.  The first rejecting round in round order is reported; the
 reported queries are still 3 (2) per round.  Both use one call of the
 oracle's ``batch`` method per block or per stage of a chunk when it has
 one, and evaluate point by point otherwise, so an oracle may also see
@@ -58,8 +64,9 @@ evaluates only the rejecting iteration's check, for its certificate.  A
 round tester keeps only the rounds whose x has a witness in place of the
 f(x) stage, and runs the rest of its stages on them: a rejecting round's
 y1 and y2 (y) are band 1-inputs below x whose union is x (below x's
-complement), so its x has one.  Every round's draws are still read, so the
-draws and reports do not change.  The reported queries stay those above.
+complement), so its x has one.  A chunk with no such x reads none of its
+later draws (see Chunks); the reports do not change, and the reported
+queries stay those above.
 
 Identical (f, config) therefore reproduces identical reports byte for byte,
 and iterations stay independent given the weight batch.
@@ -123,6 +130,8 @@ class TesterConfig:
             raise ValueError(f"eps must lie in (0,1), got {self.eps}")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
+        if not 0.0 <= self.tau_constant < math.inf:
+            raise ValueError(f"tau_constant must be finite and >= 0, got {self.tau_constant}")
 
 
 @dataclass(frozen=True)
@@ -172,12 +181,14 @@ def tau_success_rate(n: int, eps: float, c: float = 1.0) -> float:
 def _tau_rounds(cfg: TesterConfig, n: int) -> int:
     if cfg.max_iterations is not None:
         return cfg.max_iterations
-    rounds = math.ceil(100.0 / tau_success_rate(n, cfg.eps, cfg.tau_constant))
+    tau = tau_success_rate(n, cfg.eps, cfg.tau_constant)
+    rounds = 100.0 / tau if tau else math.inf  # tau underflows to 0 for a large constant
     if rounds > ROUNDS_CAP:
-        raise ResourceCapError(
-            f"{rounds} rounds exceeds the cap {ROUNDS_CAP}; set max_iterations",
-            rounds, ROUNDS_CAP)
-    return rounds
+        predicted = math.ceil(rounds) if rounds < math.inf else None
+        what = f"{predicted} rounds" if predicted else f"100/tau (tau = {tau:g})"
+        raise ResourceCapError(f"{what} exceeds the cap {ROUNDS_CAP}; set max_iterations",
+                               predicted, ROUNDS_CAP)
+    return math.ceil(rounds)
 
 
 #: Rounds per chunk: the first chunk, and the size the doubling stops at.
@@ -212,38 +223,79 @@ def _cursor(rng: np.random.Generator, words: int) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
-def _weight_chunks(
+def _weight_reader(
     n: int, band: Band, rounds: int, rng: np.random.Generator
-) -> Iterator[np.ndarray]:
-    """The weight batch chunk by chunk; moves rng past the whole batch.
+) -> np.random.Generator:
+    """A reader of the weight batch from its start; moves rng past the whole batch.
 
     The batch takes a varying number of draws (integers() rejects some), so
     its end is found by drawing it once, and a cursor at its start draws it
     again chunk by chunk.  Chunked draws give the values of one batch call,
     because bounded draws under 2^32 take their 32-bit halves from the bit
     generator's own buffer.  The first pass makes only the batch's
-    ``integers`` calls (``boolfn._band_draws``), not its class lookups.
+    ``integers`` calls (``boolfn._band_draws``), not its class lookups.  A run
+    of one chunk reads the batch from rng itself, before anything else.
     """
     if rounds <= CHUNK_MIN:
-        return iter([sample_band_weights(n, band, rng, rounds)])
+        return rng
     reader = _cursor(rng, 0)
     for start, stop in _chunks(rounds):
         _band_draws(n, band, rng, stop - start)
-    return (sample_band_weights(n, band, reader, stop - start)
-            for start, stop in _chunks(rounds))
+    return reader
 
 
-def _segments(
-    rng: np.random.Generator, rounds: int, n: int, count: int
-) -> list[np.random.Generator]:
-    """Readers of the stream from k * rounds * n draws past rng, k = 1..count.
+def _weight_chunks(
+    n: int, band: Band, rounds: int, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """The weight batch chunk by chunk, read by :func:`_weight_reader`."""
+    reader = _weight_reader(n, band, rounds, rng)
+    return (sample_band_weights(n, band, reader, stop - start) for start, stop in _chunks(rounds))
 
-    A run of one chunk reads every segment whole and in stream order, so
-    its readers are rng itself.
+
+class _RoundReads:
+    """A round tester's weights, then its y rows and scalar draws for live chunks only.
+
+    rows is the number of y row segments; the scalar draws sample below
+    below(ws).  See Chunks in the module docstring.
     """
-    if rounds <= CHUNK_MIN:
-        return [rng] * count
-    return [_cursor(rng, k * rounds * n) for k in range(1, count + 1)]
+
+    def __init__(self, n: int, band: Band, rounds: int, rng: np.random.Generator,
+                 rows: int, below):
+        self.n, self.band, self.rounds, self.count, self.below = n, band, rounds, rows, below
+        self.reader = _weight_reader(n, band, rounds, rng)  # before any cursor at W
+        self.origin, self.rows, self.draws, self.at = rng, [rng] * rows, rng, 0
+        if rounds > CHUNK_MIN:  # else rng reads every segment in stream order
+            self.origin, self.draws = _cursor(rng, 0), None
+            self.mark = self.reader.bit_generator.state
+
+    def chunks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(start, weights) of each chunk."""
+        for start, stop in _chunks(self.rounds):
+            yield start, sample_band_weights(self.n, self.band, self.reader, stop - start)
+
+    def read(self, start: int, ws: np.ndarray, live: np.ndarray):
+        """The chunk's y rows, a (len(ws), n) array per segment, and its downset draws.
+
+        With no live round nothing is read and the arrays are empty.
+        """
+        n, band, rounds = self.n, self.band, self.rounds
+        if not live.size:
+            return [np.empty((0, n))] * self.count, np.empty(0, dtype=np.uint64)
+        if self.draws is None or start > self.at:
+            self.rows = [_cursor(self.origin, (k * rounds + start) * n)
+                         for k in range(1, self.count + 1)]
+            if self.draws is None:
+                self.draws = _cursor(self.origin, (self.count + 1) * rounds * n)
+            replay = np.random.Generator(np.random.Philox())
+            replay.bit_generator.state = self.mark
+            for s, e in _chunks(rounds):
+                if self.at <= s < start:
+                    skipped = sample_band_weights(n, band, replay, e - s)
+                    _downset_draws(self.draws, n, band, self.below(skipped))
+        rows = [r.random((len(ws), n)) for r in self.rows]
+        us = _downset_draws(self.draws, n, band, self.below(ws))
+        self.mark, self.at = self.reader.bit_generator.state, start + len(ws)
+        return rows, us
 
 
 def _small_witness_table(f, band: Band, uc: bool) -> TruthTable | None:
@@ -305,20 +357,16 @@ def uc_triple_tester(f, cfg: TesterConfig) -> TesterReport:
     band = mid_band(n, cfg.eps, widened=True)
     rounds = _tau_rounds(cfg, n)
     rng = stream(cfg.seed)
-    weights = _weight_chunks(n, band, rounds, rng)
+    reads = _RoundReads(n, band, rounds, rng, 2, lambda ws: np.repeat(ws, 2))
     table = _small_witness_table(f, band, True)
-    rows1, rows2, draws = _segments(rng, rounds, n, 3)
-    for (start, stop), ws in zip(_chunks(rounds), weights):
-        size = stop - start
+    for start, ws in reads.chunks():
         xs = _batch_band_points(n, ws, rng)
-        r1 = rows1.random((size, n))
-        r2 = rows2.random((size, n))
-        us = _downset_draws(draws, n, band, np.repeat(ws, 2)).reshape(size, 2)
         # a round can reject only at a witness point x (f(x) = 0 at least),
         # and only if |y1| + |y2| >= |x|, then f(y1) = 1
         live = np.flatnonzero(_answers(f, xs) == 0 if table is None else table.batch(xs))
+        (r1, r2), us = reads.read(start, ws, live)
         w = ws[live]
-        j1, j2 = _downset_class(n, band, w[:, None], us[live]).T
+        j1, j2 = _downset_class(n, band, w[:, None], us.reshape(-1, 2)[live]).T
         fits = j1 + j2 >= w
         live, j1, j2 = live[fits], j1[fits], j2[fits]
         y1 = _subsets(xs[live], j1, r1[live])
@@ -347,16 +395,13 @@ def int_pair_tester(f, cfg: TesterConfig) -> TesterReport:
     band = mid_band(n, cfg.eps)
     rounds = _tau_rounds(cfg, n)
     rng = stream(cfg.seed)
-    weights = _weight_chunks(n, band, rounds, rng)
+    reads = _RoundReads(n, band, rounds, rng, 1, lambda ws: n - ws)
     table = _small_witness_table(f, band, False)
-    rows, draws = _segments(rng, rounds, n, 2)
-    for (start, stop), ws in zip(_chunks(rounds), weights):
-        size = stop - start
+    for start, ws in reads.chunks():
         xs = _batch_band_points(n, ws, rng)
-        r = rows.random((size, n))
-        us = _downset_draws(draws, n, band, n - ws)
         # only a witness point x (f(x) = 1 at least) can reject
         live = np.flatnonzero(_answers(f, xs) == 1 if table is None else table.batch(xs))
+        (r,), us = reads.read(start, ws, live)
         js = _downset_class(n, band, n - ws[live], us[live])
         ys = _subsets(xs[live] ^ full, js, r[live])
         bad = np.flatnonzero(_answers(f, ys) == 1)

@@ -6,9 +6,10 @@ rounds that can still reject.  These are the chunk bodies that build every
 round's x, y1 and y2 (x and y) and evaluate all of them in one call, with
 the subset rule written out as a per-row gather, so the tests can compare
 the testers' reports against a statement that evaluates every round.
-Both read the stream through the testers' own chunk and cursor helpers,
-but pick points and downset classes with the plain kernels below: a stable
-per-row argsort and a compare-sum over the padded cumulative class sizes.
+Both read every segment of the stream, through the testers' own chunk and
+cursor helpers, but pick points and downset classes with the plain kernels
+below: a stable per-row argsort and a compare-sum over the padded
+cumulative class sizes.
 ``witness_array`` keeps the subset-OR transform of ``witness_table`` on an
 unpacked array: a uint32 array of unions (uc) or a bool array (int).
 """
@@ -24,16 +25,28 @@ from setfam.boolfn import (
     _downset_draws,
     mid_band,
 )
+from setfam import testers
 from setfam.rng import stream
 from setfam.testers import (
     TesterConfig,
     TesterReport,
     _chunks,
-    _segments,
+    _cursor,
     _tau_rounds,
     _weight_chunks,
 )
 from setfam.violations import IViolatingPair, TripleCertificate
+
+
+def segments(rng, rounds: int, n: int, count: int) -> list:
+    """Readers of the stream from k * rounds * n draws past rng, k = 1..count.
+
+    A run of one chunk reads every segment whole and in stream order, so
+    its readers are rng itself.
+    """
+    if rounds <= testers.CHUNK_MIN:
+        return [rng] * count
+    return [_cursor(rng, k * rounds * n) for k in range(1, count + 1)]
 
 
 def lowest(keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -79,7 +92,7 @@ def uc_triple_tester(f, cfg: TesterConfig) -> TesterReport:
     rounds = _tau_rounds(cfg, n)
     rng = stream(cfg.seed)
     weights = _weight_chunks(n, band, rounds, rng)
-    rows1, rows2, draws = _segments(rng, rounds, n, 3)
+    rows1, rows2, draws = segments(rng, rounds, n, 3)
     for (start, stop), ws in zip(_chunks(rounds), weights):
         size = stop - start
         xs = lowest(rng.random((size, n)), ws)
@@ -104,7 +117,7 @@ def int_pair_tester(f, cfg: TesterConfig) -> TesterReport:
     rounds = _tau_rounds(cfg, n)
     rng = stream(cfg.seed)
     weights = _weight_chunks(n, band, rounds, rng)
-    rows, draws = _segments(rng, rounds, n, 2)
+    rows, draws = segments(rng, rounds, n, 2)
     for (start, stop), ws in zip(_chunks(rounds), weights):
         size = stop - start
         xs = lowest(rng.random((size, n)), ws)
