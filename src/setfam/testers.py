@@ -50,8 +50,8 @@ together, or one large downset over several blocks.  The round testers
 evaluate every round's x first, then y only for the live rounds, which can
 still reject: the 2-query tester where f(x) = 1; the 3-query tester y1
 where f(x) = 0 and |y1| + |y2| >= |x| (y1 | y2 = x needs it), then y2
-where also f(y1) = 1.  The first rejecting round in round order is reported; the
-reported queries are still 3 (2) per round.  Both use one call of the
+where also f(y1) = 1.  The first rejecting round in round order is
+reported; the reported queries are still 3 (2) per round.  Both use one call of the
 oracle's ``batch`` method per block or per stage of a chunk when it has
 one, and evaluate point by point otherwise, so an oracle may also see
 points of the iterations after the rejecting one in its block or chunk;

@@ -1,4 +1,4 @@
-"""tools/bench_pairs.compare on synthetic runs: the pair wins and both verdicts."""
+"""tools/bench_pairs.compare on synthetic runs: the pair wins and the three verdicts."""
 
 import importlib.util
 from pathlib import Path
@@ -55,3 +55,29 @@ class TestCompare:
         assert set(got) == {"peak_rss_mb"}  # a metric no run reports is left out
         assert got["peak_rss_mb"]["within_bound"] is within
         assert got["peak_rss_mb"]["gain_shown"] is shown
+
+
+class TestSpread:
+    def test_a_spread_at_the_bound_is_within_it(self):
+        # the change's q3 - q1 = 5.0 against 10% of the parent's median, 50.0
+        rss = [50.0] * 10
+        change = [48.0, 48.0, 48.0, 53.0, 53.0, 53.0, 50.0, 50.0, 50.0, 50.0]
+        got = bench_pairs.compare(runs(rss, change, "peak_rss_mb"), METRICS)["peak_rss_mb"]
+        assert got["change"]["q3"] - got["change"]["q1"] == pytest.approx(5.0)
+        assert got["spread_within_bound"] and got["within_bound"]
+
+    def test_a_spread_past_the_bound_is_reported_with_a_median_within_it(self):
+        # the median stays at the parent's; the change's q3 - q1 = 6.0 > 5.0
+        rss = [50.0] * 10
+        change = [47.0, 47.0, 47.0, 53.0, 53.0, 53.0, 50.0, 50.0, 50.0, 50.0]
+        got = bench_pairs.compare(runs(rss, change, "peak_rss_mb"), METRICS)["peak_rss_mb"]
+        assert got["change"]["median"] == 50.0
+        assert got["within_bound"] and not got["spread_within_bound"]
+
+    def test_the_spread_is_the_changes_not_the_parents(self):
+        # a wide parent and a tight change: the parent's q3 - q1 is 40
+        parent = [80.0, 80.0, 80.0, 120.0, 120.0, 120.0, 100.0, 100.0, 100.0, 100.0]
+        got = bench_pairs.compare(runs(parent, [100.0] * 10), METRICS)["ops_per_s"]
+        assert got["spread_within_bound"]
+        got = bench_pairs.compare(runs([100.0] * 10, parent), METRICS)["ops_per_s"]
+        assert not got["spread_within_bound"]  # 40 > 25% of 100

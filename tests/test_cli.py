@@ -143,6 +143,19 @@ class TestTestCommand:
         assert len(rows) == 10
         assert all(row.split(",")[6] == "accept" for row in rows)
 
+    def test_a_tau_that_underflows_writes_an_error_row(self, tmp_path):
+        raw = run_cli(["test", "--alg", "uc-triple", "--fn", "majority", "--n", "8",
+                       "--eps", "0.5", "--tau-constant", "1e6"], tmp_path).decode()
+        row = [l for l in raw.splitlines() if l and not l.startswith("#")][1].split(",")
+        assert row[6] == "ERROR" and "exceeds the cap 10000000" in row[10]
+
+    @pytest.mark.parametrize("value", ["nan", "-50", "inf"])
+    def test_a_non_finite_or_negative_tau_constant_is_an_error(self, value, capsys):
+        code = main(["test", "--alg", "int-pair", "--fn", "majority", "--n", "8",
+                     "--eps", "0.5", f"--tau-constant={value}"])
+        assert code == 2
+        assert "tau_constant must be finite and >= 0" in capsys.readouterr().err
+
     def test_soundness_row_rate(self, tmp_path):
         raw = run_cli(
             ["test", "--alg", "int", "--fn", "const1", "--n", "10",

@@ -1,5 +1,6 @@
 """Tester behaviour: completeness, soundness, accounting, determinism."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -286,6 +287,34 @@ class TestDeterminismAndConfig:
         bare = ResourceCapError("no sizes known")
         assert (bare.predicted, bare.cap) == (None, None)
 
+    @pytest.mark.parametrize("tau_constant", [math.nan, math.inf, -math.inf, -50.0, -1e-300])
+    def test_a_non_finite_or_negative_tau_constant_is_rejected(self, tau_constant):
+        # nan used to escape as "cannot convert float NaN to integer", and -50
+        # made tau > eps, one round
+        with pytest.raises(ValueError, match="tau_constant"):
+            TesterConfig(eps=0.5, tau_constant=tau_constant)
+
+    def test_a_zero_tau_constant_runs_ceil_100_over_eps_rounds(self):
+        from setfam.testers import _tau_rounds
+
+        assert _tau_rounds(TesterConfig(eps=0.5, tau_constant=0.0), 8) == 200
+
+    @pytest.mark.parametrize("alg", [uc_triple_tester, int_pair_tester])
+    @pytest.mark.parametrize("exponent", [1e6, 1056.0])
+    def test_a_tau_too_small_for_a_round_count_meets_the_rounds_cap(self, alg, exponent):
+        # tau = eps * 2^-exponent: 0.0 (it used to raise ZeroDivisionError),
+        # or subnormal, so that 100 / tau overflows to inf
+        from setfam.boolfn import majority
+        from setfam.testers import ROUNDS_CAP
+
+        n, eps = 8, 0.5
+        c = exponent / (math.sqrt(n * math.log2(n / eps)) * math.log2(n))
+        tau = tau_success_rate(n, eps, c)
+        assert tau == 0.0 if exponent > 2000 else 0.0 < tau and 100.0 / tau == math.inf
+        with pytest.raises(ResourceCapError, match=f"exceeds the cap {ROUNDS_CAP}") as exc:
+            alg(majority(n), TesterConfig(eps=eps, tau_constant=c))
+        assert (exc.value.predicted, exc.value.cap) == (None, ROUNDS_CAP)
+
     def test_tau_monotone_in_n(self):
         taus = [tau_success_rate(n, 0.25) for n in range(2, 20)]
         assert all(a > b for a, b in zip(taus, taus[1:]))
@@ -516,6 +545,200 @@ class TestRoundCascade:
         stages = [len(a) if stage == 0 else 0 for a in xs for stage in range(per_round)]
         assert [len(a) for a in f.calls] == stages
         assert np.concatenate(f.calls).tolist() == np.concatenate(xs).tolist()
+
+
+class Logged:
+    """A generator that logs its random() calls; its other attributes are the generator's."""
+
+    def __init__(self, rng, log):
+        self.rng, self.log = rng, log
+
+    def random(self, size):
+        self.log.append(("rows", size[0]))
+        return self.rng.random(size)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def logged_run(alg, f, cfg):
+    """alg's report and its reads per chunk: [(xs, [("rows" | "draws", count), ...])].
+
+    Rows are logged at the testers' cursors, so in runs of more than one chunk.
+    """
+    import setfam.testers as T
+
+    log = []
+    cursor, draws, points = T._cursor, T._downset_draws, T._batch_band_points
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "_cursor", lambda rng, words: Logged(cursor(rng, words), log))
+        mp.setattr(T, "_downset_draws", lambda rng, n, band, ws: (
+            log.append(("draws", len(ws))) or draws(rng, n, band, ws)))
+        mp.setattr(T, "_batch_band_points", lambda n, ws, rng: (
+            log.append(("points", points(n, ws, rng))) or log[-1][1]))
+        rep = alg(f, cfg)
+    chunks = []
+    for kind, value in log:
+        if kind == "points":
+            chunks.append((value, []))
+        else:
+            chunks[-1][1].append((kind, value))
+    return rep, chunks
+
+
+def rare_witness_table(kind: str, n: int) -> TruthTable:
+    """A table (n >= 3) with few witness points, which can reject.
+
+    uc: every widened-band point strictly below x0, the band's highest-weight
+    point of low bits; x0 is the only witness.  int: b = 0b11 and the points
+    inside its complement that miss at most one of its bits; these n points
+    are the witnesses, and a round at one of them rejects where y is b.
+    """
+    if kind == "uc":
+        band = mid_band(n, 0.5, widened=True)
+        x0 = (1 << min(band.hi, n)) - 1
+        return TruthTable.from_ones(n, [y for y in range(x0) if y & x0 == y
+                                        and band.lo <= bin(y).count("1") <= band.hi])
+    rest = ((1 << n) - 1) ^ 0b11
+    return TruthTable.from_ones(n, sorted({0b11, rest} | {rest ^ (1 << i) for i in range(2, n)}))
+
+
+class TestSkippedReads:
+    """A chunk with no live round reads no y row and no downset draw.
+
+    A later live chunk reads the same draws as a run that reads every chunk;
+    ``reference_testers`` reads every segment whole.
+    """
+
+    # tester, rule, row segments (and downset draws per round)
+    KIND = {"uc": (uc_triple_tester, True, 2), "int": (int_pair_tester, False, 1)}
+
+    @staticmethod
+    def live(kind, f, xs):
+        _, uc, _ = TestSkippedReads.KIND[kind]
+        band = mid_band(f.arity, 0.5, widened=uc)
+        return bool(reference_testers.witness_array(f, band, uc)[xs.astype(np.intp)].any())
+
+    @pytest.mark.parametrize("kind", ["uc", "int"])
+    def test_a_table_with_the_property_reads_no_y_row_and_no_downset_draw(self, kind):
+        from setfam.distance import union_closure
+
+        alg, _, _ = self.KIND[kind]
+        rng = stream(97)
+        for n in range(1, 13):
+            for k in range(3):
+                values = rng.random(1 << n) < (0.02, 0.2, 0.6)[k]
+                if kind == "uc":
+                    f = union_closure(TruthTable.from_array(n, values))
+                    assert is_union_closed(f)
+                else:
+                    star = (np.arange(1 << n) >> int(rng.integers(n))) & 1
+                    f = TruthTable.from_array(n, values & (star == 1))
+                    assert is_intersecting(f)
+                rounds = [65, 2000] + ([None] if n in (5, 6) and k == 0 else [])
+                for r in rounds:
+                    cfg = TesterConfig(eps=0.9 if n == 6 else 0.5, seed=k, max_iterations=r)
+                    rep, chunks = logged_run(alg, f, cfg)
+                    assert rep.verdict == "accept" and len(chunks) >= 2, (n, k, r)
+                    assert all(not reads for _, reads in chunks), (n, k, r)
+
+    @pytest.mark.parametrize("kind", ["uc", "int"])
+    def test_the_first_read_is_at_the_first_live_chunk(self, kind):
+        import setfam.testers as T
+
+        alg, _, per_chunk = self.KIND[kind]
+        lates = 0
+        for n, seed, chunking in itertools.product(
+                (5, 6, 9), range(20), ((T.CHUNK_MIN, T.CHUNK_MAX), (2, 16))):
+            f = rare_witness_table(kind, n)
+            cfg = TesterConfig(eps=0.5, seed=seed, max_iterations=3000)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(T, "CHUNK_MIN", chunking[0])
+                mp.setattr(T, "CHUNK_MAX", chunking[1])
+                rep, chunks = logged_run(alg, f, cfg)
+                assert rep.to_json() == getattr(reference_testers, alg.__name__)(f, cfg).to_json()
+                sizes = [stop - start for start, stop in T._chunks(3000)]
+            first = next(c for c, (xs, _) in enumerate(chunks) if self.live(kind, f, xs))
+            assert not any(reads for _, reads in chunks[:first]), (n, seed)
+            # the skipped chunks' downset draws, in round order, then the chunk's own reads
+            got = chunks[first][1]
+            assert got[:first] == [("draws", per_chunk * size) for size in sizes[:first]]
+            assert got[first:] == [("rows", sizes[first])] * per_chunk + [
+                ("draws", per_chunk * sizes[first])], (n, seed)
+            lates += first > 0
+        assert lates >= 20, lates
+
+    @pytest.mark.parametrize("kind", ["uc", "int"])
+    def test_skipped_chunks_then_a_rejecting_live_chunk_give_the_reference_reports(self, kind):
+        import setfam.testers as T
+        from setfam.boolfn import BooleanFunction
+
+        alg, _, _ = self.KIND[kind]
+        seen = {n: set() for n in (5, 6, 9)}
+        for n in seen:
+            f = rare_witness_table(kind, n)
+            point = BooleanFunction(n, f, f.batch)  # the f(x) stage
+            for chunking in ((T.CHUNK_MIN, T.CHUNK_MAX), (2, 16)):
+                for seed in range(20):
+                    cfg = TesterConfig(eps=0.5, seed=seed, max_iterations=3000)
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(T, "CHUNK_MIN", chunking[0])
+                        mp.setattr(T, "CHUNK_MAX", chunking[1])
+                        rep, chunks = logged_run(alg, f, cfg)
+                        want = getattr(reference_testers, alg.__name__)(f, cfg).to_json()
+                        assert rep.to_json() == want == alg(point, cfg).to_json(), (n, seed)
+                    pattern = "".join("L" if reads else "s" for _, reads in chunks)
+                    if rep.verdict == "reject" and "s" in pattern:
+                        seen[n].add("skip, then reject")
+                    if "Ls" in pattern.rstrip("s"):
+                        seen[n].add("live, skip, live")
+        assert all(len(s) == 2 for s in seen.values()), seen
+
+    def test_pair_tester_memory_stays_bounded_for_a_million_rounds(self):
+        import tracemalloc
+
+        values = stream(98).random(1 << 10) < 0.7
+        f = TruthTable.from_array(10, values & ((np.arange(1 << 10) >> 3) & 1 == 1))
+        assert is_intersecting(f)
+        tracemalloc.start()
+        try:
+            rep = int_pair_tester(f, TesterConfig(eps=0.5, seed=1, max_iterations=10**6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.verdict == "accept" and rep.queries == 2 * 10**6
+        assert peak < 32 * 2**20, peak
+
+    def test_a_late_live_chunk_catches_up_in_bounded_memory(self):
+        # f(x) = 1 iff x holds all or none of the low 19 bits, at n = 22: about
+        # 1.9e-6 of the rounds are live.  Seed 3 skips its first 107 chunks; a
+        # round of chunk 107 with x >= K draws y inside ~K and rejects
+        import tracemalloc
+
+        import setfam.testers as T
+        from setfam.boolfn import BooleanFunction
+
+        n, low = 22, (1 << 19) - 1
+        k = np.uint64(low)
+        f = BooleanFunction(n, lambda x: int(x & low in (0, low)),
+                            lambda xs: ((xs & k == k) | (xs & k == 0)).astype(np.uint8))
+        cfg = TesterConfig(eps=0.5, seed=3, max_iterations=10**6)
+        tracemalloc.start()
+        try:
+            rep = int_pair_tester(f, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, peak
+        assert rep.verdict == "reject" and rep.iterations_run == 834640
+        logged, chunks = logged_run(int_pair_tester, f, cfg)
+        assert logged.to_json() == rep.to_json()
+        starts = [start for start, _ in T._chunks(10**6)]
+        last = len(chunks) - 1
+        assert starts[last] < rep.iterations_run <= starts[last + 1]
+        assert not any(reads for _, reads in chunks[:last])
+        assert chunks[last][1][:last] == [("draws", min(64 << c, 8192)) for c in range(last)]
+        assert rep.to_json() == reference_testers.int_pair_tester(f, cfg).to_json()
 
 
 class TestWitnessBlocks:

@@ -13,12 +13,15 @@ even pairs and the change first in odd ones.  The record goes to
 BENCH_<change commit>.json at the repository root: per workload and
 end-to-end metric, the parent's and the change's median and quartiles
 (``statistics.quantiles`` n=4), the median's change in percent, the pairs
-in which the change did better, two verdicts (``gain_shown``: the change
+in which the change did better, three verdicts (``gain_shown``: the change
 won at least 9 of 10 pairs and its median is better by more than the
 parent's q3 - q1; ``within_bound``: its median is worse by at most the
-metric's bound), and whether every run was correct with no failed
-operation; plus each run's figures, the machine, the versions, and both
-commits with the line count of their src/setfam.  A record of four
+metric's bound; ``spread_within_bound``: its own q3 - q1 is at most the
+bound times the parent's median, which shows a spread too wide to tell
+apart before a gate refuses it, and gates nothing here), and whether every
+run was correct with no failed operation; plus each run's figures, the
+machine, the versions, and both commits with the line count of their
+src/setfam.  A record of four
 workloads took about two hours on a 2-core machine: each run adds its
 set-up samples to the 25 s it measures.
 """
@@ -79,12 +82,14 @@ def summary(values: list[float]) -> dict:
 
 
 def compare(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per end-to-end metric: both sides' medians and quartiles, the pair wins, two verdicts.
+    """Per end-to-end metric: both sides' medians and quartiles, the pair wins, three verdicts.
 
     gain_shown: the change did better in at least 9 of 10 pairs and its median
     is better than the parent's by more than the parent's q3 - q1.
     within_bound: the change's median is worse than the parent's by at most
     the metric's bound, a fraction of the parent's median.
+    spread_within_bound: the change's q3 - q1 is at most that same fraction
+    of the parent's median.
     """
     out = {}
     for m in metrics:
@@ -105,7 +110,9 @@ def compare(runs: list[dict], metrics: list[dict]) -> dict:
                      "change_wins": wins, "pairs": len(pairs),
                      "gain_shown": 10 * wins >= 9 * len(pairs)
                      and gain > parent["q3"] - parent["q1"],
-                     "within_bound": -gain <= m["bound"] * abs(parent["median"])}
+                     "within_bound": -gain <= m["bound"] * abs(parent["median"]),
+                     "spread_within_bound":
+                     change["q3"] - change["q1"] <= m["bound"] * abs(parent["median"])}
     return out
 
 
