@@ -21,9 +21,8 @@ bound times the parent's median, which shows a spread too wide to tell
 apart before a gate refuses it, and gates nothing here), and whether every
 run was correct with no failed operation; plus each run's figures, the
 machine, the versions, and both commits with the line count of their
-src/setfam.  A record of four
-workloads took about two hours on a 2-core machine: each run adds its
-set-up samples to the 25 s it measures.
+src/setfam.  A record of four workloads took 40 minutes to two hours on a
+2-core machine: each run adds its set-up samples to the 25 s it measures.
 """
 
 from __future__ import annotations
