@@ -1,11 +1,11 @@
 """Reproducible experiment harness.
 
 Subcommands: gen | test | dist | sweep | verify.  Outputs are byte-identical
-for identical (spec, seed, version) regardless of thread count: every row of
-work draws from its own derived stream and rows are written in index order.
-CSV files are RFC-4180 with `#`-prefixed header comment lines; wall-clock
-columns stay empty unless --timing is passed (timing is the one thing that
-cannot be reproducible).
+for identical (spec, seed, version): each row draws only from its own derived
+stream, and rows run serially in index order (`--threads` is ignored).  CSV
+files are RFC-4180 with `#`-prefixed header comment lines; wall-clock columns
+stay empty unless --timing is passed (timing is the one thing that cannot be
+reproducible).  Input, parameter and file errors exit 2 with `setfam: error:`.
 """
 
 from __future__ import annotations
@@ -15,10 +15,8 @@ import csv
 import functools
 import io
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -72,13 +70,6 @@ def _row_seed(master: int, index: int) -> int:
     return int(np.random.SeedSequence((master, index)).generate_state(1, np.uint64)[0])
 
 
-def _thread_count(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("SETFAM_THREADS")
-    return max(1, int(env)) if env else 1
-
-
 def _emit(args, text: str) -> None:
     if args.out:
         Path(args.out).write_text(text)
@@ -86,12 +77,12 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _run_rows(fn, count: int, threads: int) -> list:
-    """Evaluate fn(0..count-1), possibly threaded, merged in index order."""
-    if threads <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
+def _from_json(build, obj, what: str):
+    """build(obj), where obj came from an input file: a missing field is an input error."""
+    try:
+        return build(obj)
+    except KeyError as exc:
+        raise ValueError(f"{what} has no field {exc}") from None
 
 
 class CsvDoc:
@@ -124,7 +115,7 @@ def resolve_function(spec: str, n: int | None):
     """Builtin name, ones:{...} literal, BFTT1 path, or instance/table JSON path."""
     builtin = spec in ("const0", "const1", "majority") or spec.startswith("dictator-")
     if n is None and (builtin or spec.startswith("ones:")):
-        raise SystemExit(f"--n is required for {'builtin' if builtin else 'ones:{...}'} functions")
+        raise ValueError(f"--n is required for {'builtin' if builtin else 'ones:{...}'} functions")
     if spec in ("const0", "const1"):
         return const_function(n, int(spec == "const1"))
     if spec == "majority":
@@ -141,9 +132,9 @@ def resolve_function(spec: str, n: int | None):
     if path.suffix == ".json":
         obj = json.loads(path.read_text())
         if "ones" in obj:
-            return TruthTable.from_json_obj(obj)
-        return load_instance(obj).function()
-    raise SystemExit(f"cannot interpret function source {spec!r}")
+            return _from_json(TruthTable.from_json_obj, obj, f"table {spec}")
+        return _from_json(load_instance, obj, f"instance {spec}").function()
+    raise ValueError(f"cannot interpret function source {spec!r}")
 
 
 # -- gen ---------------------------------------------------------------------------
@@ -213,6 +204,8 @@ TEST_COLUMNS = [
 
 
 def cmd_test(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     f = resolve_function(args.fn, args.n)
     alg = ALGORITHMS[args.alg]
     params = (
@@ -221,8 +214,7 @@ def cmd_test(args) -> int:
         f"tau_constant={args.tau_constant} cap={args.cap}"
     )
     doc = CsvDoc("test", params, TEST_COLUMNS)
-
-    def run(trial: int) -> list:
+    for trial in range(args.trials):
         seed = _row_seed(args.seed, trial)
         cfg = TesterConfig(
             eps=args.eps,
@@ -235,8 +227,9 @@ def cmd_test(args) -> int:
         try:
             rep = alg(f, cfg)
         except ResourceCapError as exc:  # cap overruns become data, not crashes
-            return [trial, args.alg, args.fn, f.arity, args.eps, seed,
-                    "ERROR", "", "", "", str(exc), ""]
+            doc.add([trial, args.alg, args.fn, f.arity, args.eps, seed,
+                     "ERROR", "", "", "", str(exc), ""])
+            continue
         wall = f"{(time.perf_counter() - t0) * 1e3:.3f}" if args.timing else ""
         success = (
             f"{1.0 / rep.iterations_run:.6g}" if rep.verdict == "reject" else "0"
@@ -247,11 +240,8 @@ def cmd_test(args) -> int:
             if rep.certificate is not None
             else ""
         )
-        return [trial, args.alg, args.fn, f.arity, args.eps, seed, rep.verdict,
-                rep.queries, rep.iterations_run, success, cert, wall]
-
-    for row in _run_rows(run, args.trials, _thread_count(args)):
-        doc.add(row)
+        doc.add([trial, args.alg, args.fn, f.arity, args.eps, seed, rep.verdict,
+                 rep.queries, rep.iterations_run, success, cert, wall])
     _emit(args, doc.text())
     return 0
 
@@ -279,8 +269,10 @@ def _parse_ints(spec: str) -> list[int]:
     for part in spec.split(","):
         part = part.strip()
         if ".." in part:
-            lo, hi = part.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(v) for v in part.split(".."))
+            if lo > hi:
+                raise ValueError(f"empty range {part!r}: its start is above its end")
+            out.extend(range(lo, hi + 1))
         elif part:
             out.append(int(part))
     return out
@@ -291,6 +283,8 @@ def _parse_floats(spec: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
+    if min(args.seeds, args.trials) < 1:
+        raise ValueError("--seeds and --trials must be at least 1")
     ns = _parse_ints(args.ns)
     epss = _parse_floats(args.epss)
     params = (
@@ -299,16 +293,15 @@ def cmd_sweep(args) -> int:
         f"alg={args.alg} pair={args.pair} construction={args.construction} "
         f"seed={args.seed}"
     )
-    threads = _thread_count(args)
-
+    cells = [(n, eps) for n in ns for eps in epss]
+    if not cells:
+        raise ValueError("--ns and --epss must each name at least one value")
+    alg = ALGORITHMS[args.alg]
     if args.what == "queries":
         doc = CsvDoc("sweep", params, ["n", "eps", "seed", "iterations",
                                        "queries", "mean_queries_per_iter", "wall_ms"])
-        grid = [(n, eps, s) for n in ns for eps in epss for s in range(args.seeds)]
-        alg = ALGORITHMS[args.alg]
-
-        def run_q(i: int) -> list:
-            n, eps, s = grid[i]
+        grid = [cell for cell in cells for _ in range(args.seeds)]
+        for i, (n, eps) in enumerate(grid):
             f = resolve_function(args.fn, n)
             seed = _row_seed(args.seed, i)
             cfg = TesterConfig(eps=eps, seed=seed, max_iterations=args.iterations,
@@ -317,20 +310,12 @@ def cmd_sweep(args) -> int:
             rep = alg(f, cfg)
             wall = f"{(time.perf_counter() - t0) * 1e3:.3f}" if args.timing else ""
             mean = rep.queries / rep.iterations_run
-            return [n, eps, seed, rep.iterations_run, rep.queries,
-                    f"{mean:.6g}", wall]
-
-        for row in _run_rows(run_q, len(grid), threads):
-            doc.add(row)
+            doc.add([n, eps, seed, rep.iterations_run, rep.queries, f"{mean:.6g}", wall])
 
     elif args.what == "reject-rate":
         doc = CsvDoc("sweep", params, ["n", "eps", "trials", "rejects", "rate",
                                        "wilson95_lo", "wall_ms"])
-        grid = [(n, eps) for n in ns for eps in epss]
-        alg = ALGORITHMS[args.alg]
-
-        def run_r(i: int) -> list:
-            n, eps = grid[i]
+        for i, (n, eps) in enumerate(cells):
             f = resolve_function(args.fn, n)
             t0 = time.perf_counter() if args.timing else 0.0
             rejects = 0
@@ -342,39 +327,25 @@ def cmd_sweep(args) -> int:
                     rejects += 1
             wall = f"{(time.perf_counter() - t0) * 1e3:.3f}" if args.timing else ""
             lo, _ = wilson_interval(rejects, args.trials, z=_Z95)
-            return [n, eps, args.trials, rejects,
-                    f"{rejects / args.trials:.6g}", f"{lo:.6g}", wall]
-
-        for row in _run_rows(run_r, len(grid), threads):
-            doc.add(row)
+            doc.add([n, eps, args.trials, rejects,
+                     f"{rejects / args.trials:.6g}", f"{lo:.6g}", wall])
 
     elif args.what == "unique-sat":
         doc = CsvDoc("sweep", params, ["n", "eps", "weight", "trials", "estimate",
                                        "ci99_lo", "ci99_hi"])
-        grid = [(n, eps) for n in ns for eps in epss]
-
-        def run_u(i: int) -> list[list]:
-            n, eps = grid[i]
+        for i, (n, eps) in enumerate(cells):
             res = unique_sat_probability(n, eps, args.trials,
                                          stream(_row_seed(args.seed, i)))
-            rows = [[n, eps, w, args.trials, f"{e:.6g}", f"{lo:.6g}", f"{hi:.6g}"]
-                    for w, (e, lo, hi) in sorted(res.per_weight.items())]
+            for w, (e, lo, hi) in sorted(res.per_weight.items()):
+                doc.add([n, eps, w, args.trials, f"{e:.6g}", f"{lo:.6g}", f"{hi:.6g}"])
             e, lo, hi = res.pooled
-            rows.append([n, eps, "pooled", args.trials * len(res.per_weight),
-                         f"{e:.6g}", f"{lo:.6g}", f"{hi:.6g}"])
-            return rows
-
-        for rows in _run_rows(run_u, len(grid), threads):
-            for row in rows:
-                doc.add(row)
+            doc.add([n, eps, "pooled", args.trials * len(res.per_weight),
+                     f"{e:.6g}", f"{lo:.6g}", f"{hi:.6g}"])
 
     elif args.what == "bad-event":
         doc = CsvDoc("sweep", params, ["n", "eps", "pair", "construction", "trials",
                                        "estimate", "ci99_lo", "ci99_hi", "pair_bound"])
-        grid = [(n, eps) for n in ns for eps in epss]
-
-        def run_b(i: int) -> list:
-            n, eps = grid[i]
+        for i, (n, eps) in enumerate(cells):
             rng = stream(_row_seed(args.seed, i), 0)
             x = int(rng.integers(0, 1 << n, dtype=np.uint64))
             if args.pair == "antipodal":
@@ -383,15 +354,9 @@ def cmd_sweep(args) -> int:
                 y = int(rng.integers(0, 1 << n, dtype=np.uint64))
             params_ = BadEventParams((x, y), args.construction, args.trials)
             est = estimate_bad_probability(params_, n, eps, _row_seed(args.seed, i))
-            return [n, eps, args.pair, args.construction, args.trials,
-                    f"{est.estimate:.6g}", f"{est.ci99[0]:.6g}",
-                    f"{est.ci99[1]:.6g}", f"{bad_pair_bound(n, eps):.6g}"]
-
-        for row in _run_rows(run_b, len(grid), threads):
-            doc.add(row)
-
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(f"unknown sweep {args.what!r}")
+            doc.add([n, eps, args.pair, args.construction, args.trials,
+                     f"{est.estimate:.6g}", f"{est.ci99[0]:.6g}",
+                     f"{est.ci99[1]:.6g}", f"{bad_pair_bound(n, eps):.6g}"])
 
     _emit(args, doc.text())
     return 0
@@ -403,22 +368,24 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     out: dict = {}
     if args.instance:
-        inst = load_instance(json.loads(Path(args.instance).read_text()))
+        inst = _from_json(load_instance, json.loads(Path(args.instance).read_text()),
+                          f"instance {args.instance}")
         out["instance"] = inst.to_json_obj()
         out["verification"] = _verify_instance(inst)
     if args.report:
         if not args.fn and not args.instance:
-            raise SystemExit("--report needs --fn or --instance to check against")
+            raise ValueError("--report needs --fn or --instance to check against")
         rep = json.loads(Path(args.report).read_text())
         f = resolve_function(args.fn, args.n) if args.fn else inst.function()
         cert_obj = rep.get("certificate")
         if cert_obj is None:
             out["certificate_valid"] = None
         else:
-            cert = certificate_from_json_obj(cert_obj)
+            cert = _from_json(certificate_from_json_obj, cert_obj,
+                              f"the certificate of {args.report}")
             out["certificate_valid"] = bool(cert.holds_for(f))
     if not out:
-        raise SystemExit("verify needs --instance and/or --report")
+        raise ValueError("verify needs --instance and/or --report")
     _emit(args, json.dumps(out, sort_keys=True, separators=(",", ":")) + "\n")
     return 0
 
@@ -437,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--seed", type=int, default=0, help="master seed (u64)")
         sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: SETFAM_THREADS or 1)")
+                        help="accepted and ignored: rows run serially in index order")
         sp.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
                         help="banded-downset enumeration cap")
         sp.add_argument("--out", type=str, default=None, help="output path (default stdout)")
@@ -513,7 +480,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ResourceCapError) as exc:
+    except (OSError, ValueError, ResourceCapError) as exc:
         print(f"setfam: error: {exc}", file=sys.stderr)
         return 2
 

@@ -81,3 +81,27 @@ class TestSpread:
         assert got["spread_within_bound"]
         got = bench_pairs.compare(runs([100.0] * 10, parent), METRICS)["ops_per_s"]
         assert not got["spread_within_bound"]  # 40 > 25% of 100
+
+
+class TestImportMs:
+    @staticmethod
+    def fake_tree(root, side: str, log, work: int):
+        """A tree whose load_setfam imports a setfam that logs its side and spins work steps."""
+        (root / "src" / "setfam").mkdir(parents=True)
+        (root / "src" / "setfam" / "__init__.py").write_text(
+            f"with open({str(log)!r}, 'a') as fh:\n    fh.write({side!r} + '\\n')\n"
+            f"sum(range({work}))\n")
+        (root / "benchmark").mkdir()
+        (root / "benchmark" / "workloads.py").write_text(
+            "def load_setfam():\n    import setfam\n    return setfam\n")
+        return root
+
+    def test_each_side_imports_its_own_tree_in_fresh_alternating_processes(self, tmp_path):
+        log = tmp_path / "imports.log"
+        trees = {"parent": self.fake_tree(tmp_path / "p", "parent", log, 3_000_000),
+                 "change": self.fake_tree(tmp_path / "c", "change", log, 0)}
+        got = bench_pairs.import_ms(trees, runs=3)
+        assert log.read_text().split() == ["parent", "change", "change", "parent",
+                                           "parent", "change"]
+        assert set(got) == {"parent", "change"}
+        assert got["parent"] > got["change"] >= 0.0

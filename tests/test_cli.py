@@ -241,6 +241,79 @@ class TestTestCommand:
         assert all(row.rsplit(",", 1)[1] != "" for row in rows)
 
 
+class TestSerialRows:
+    def test_rows_run_on_the_calling_thread_in_trial_order(self, tmp_path, monkeypatch):
+        import threading
+
+        from setfam import cli
+
+        calls = []
+        tester = cli.ALGORITHMS["uc"]
+
+        def recorder(f, cfg):
+            calls.append((threading.get_ident(), cfg.seed))
+            return tester(f, cfg)
+
+        monkeypatch.setitem(cli.ALGORITHMS, "uc", recorder)
+        run_cli(["test", "--alg", "uc", "--fn", "majority", "--n", "6", "--eps", "0.5",
+                 "--trials", "16", "--seed", "5", "--threads", "8"], tmp_path)
+        assert calls == [(threading.get_ident(), cli._row_seed(5, t)) for t in range(16)]
+
+    def test_setfam_threads_leaves_the_bytes_unchanged(self, tmp_path, monkeypatch):
+        args = ["test", "--alg", "uc", "--fn", "ones:{01,10}", "--n", "2",
+                "--eps", "0.2", "--trials", "5", "--seed", "9"]
+        plain = run_cli(args, tmp_path, "plain")
+        monkeypatch.setenv("SETFAM_THREADS", "abc")
+        assert run_cli(args, tmp_path, "env") == plain
+
+
+class TestInputErrors:
+    """Input and parameter errors print `setfam: error: ...` and exit 2, with no traceback."""
+
+    @staticmethod
+    def files(tmp_path):
+        (tmp_path / "no_kind.json").write_text(json.dumps({"n": 16, "eps": 0.5, "seed": 1}))
+        (tmp_path / "no_n.json").write_text(json.dumps({"ones": [1, 2]}))
+        (tmp_path / "no_type.json").write_text(json.dumps({"certificate": {"points": [1, 2]}}))
+
+    @pytest.mark.parametrize("argv, message", [
+        (["test", "--alg", "uc", "--fn", "{d}/missing.bftt1", "--eps", "0.5"],
+         "No such file or directory"),
+        (["verify", "--instance", "{d}/missing.json"], "No such file or directory"),
+        (["dist", "--prop", "uc", "--fn", "const1", "--n", "2", "--out", "{d}/no/dir.json"],
+         "No such file or directory"),
+        (["test", "--alg", "uc", "--fn", "{d}/no_kind.json", "--eps", "0.5"],
+         "no_kind.json has no field 'kind'"),
+        (["verify", "--instance", "{d}/no_kind.json"], "no_kind.json has no field 'kind'"),
+        (["test", "--alg", "uc", "--fn", "{d}/no_n.json", "--eps", "0.5"],
+         "no_n.json has no field 'n'"),
+        (["verify", "--report", "{d}/no_type.json", "--fn", "const1", "--n", "2"],
+         "no_type.json has no field 'type'"),
+        (["test", "--alg", "uc", "--fn", "majority", "--eps", "0.5"],
+         "--n is required for builtin functions"),
+        (["test", "--alg", "uc", "--fn", "{d}/f.txt", "--eps", "0.5"],
+         "cannot interpret function source"),
+        (["verify"], "verify needs --instance and/or --report"),
+        (["sweep", "--what", "queries", "--ns", "5..3"], "empty range '5..3'"),
+        (["sweep", "--what", "reject-rate", "--ns", "8", "--epss", ","],
+         "--ns and --epss must each name at least one value"),
+        (["test", "--alg", "uc", "--fn", "majority", "--n", "4", "--eps", "0.5",
+          "--trials", "-2"], "--trials must be at least 1, got -2"),
+        (["test", "--alg", "uc", "--fn", "majority", "--n", "4", "--eps", "0.5",
+          "--trials", "0"], "--trials must be at least 1, got 0"),
+        (["sweep", "--what", "queries", "--ns", "5", "--seeds", "0"],
+         "--seeds and --trials must be at least 1"),
+        (["sweep", "--what", "reject-rate", "--ns", "5", "--trials", "0"],
+         "--seeds and --trials must be at least 1"),
+    ])
+    def test_a_bad_input_exits_2_with_a_message(self, argv, message, tmp_path, capsys):
+        self.files(tmp_path)
+        code = main([a.replace("{d}", str(tmp_path)) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("setfam: error: ") and message in err
+
+
 class TestRepeatedMain:
     def test_repeated_calls_match_fresh_processes(self, capsys):
         # the parser is built once per process; no option value may carry

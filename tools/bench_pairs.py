@@ -21,7 +21,12 @@ bound times the parent's median, which shows a spread too wide to tell
 apart before a gate refuses it, and gates nothing here), and whether every
 run was correct with no failed operation; plus each run's figures, the
 machine, the versions, and both commits with the line count of their
-src/setfam.  A record of four workloads took 40 minutes to two hours on a
+src/setfam and their ``import_ms``: the median process CPU time, in ms, of
+``load_setfam()`` from their benchmark/workloads.py (the setfam modules the
+benchmark imports) after ``import numpy``, over 15 fresh processes per side,
+alternating, with PYTHONDONTWRITEBYTECODE=1 so that each compiles setfam
+from source as a benchmark run does.  ``import_ms`` is reported and gates
+nothing.  A record of four workloads took 40 minutes to two hours on a
 2-core machine: each run adds its set-up samples to the 25 s it measures.
 """
 
@@ -41,6 +46,15 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 FIRST_SEED = 11
 SECONDS = 25
+IMPORT_RUNS = 15
+IMPORT_PROBE = """
+import sys, time, numpy
+sys.path[:0] = ["src", "benchmark"]
+from workloads import load_setfam
+start = time.process_time()
+load_setfam()
+print((time.process_time() - start) * 1e3)
+"""
 
 
 def git(*args: str) -> str:
@@ -60,6 +74,19 @@ def checkout(commit: str, into: Path) -> Path:
 def source_lines(tree: Path) -> int:
     """Lines of the package source, src/setfam/*.py, in tree."""
     return sum(len(p.read_text().splitlines()) for p in (tree / "src" / "setfam").glob("*.py"))
+
+
+def import_ms(trees: dict[str, Path], runs: int = IMPORT_RUNS) -> dict[str, float]:
+    """Per side, the median CPU ms of importing setfam, parent first in even runs."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("PYTHONPATH", None)
+    times: dict[str, list[float]] = {side: [] for side in trees}
+    for i in range(runs):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], cwd=trees[side], env=env,
+                                 check=True, capture_output=True, text=True).stdout
+            times[side].append(float(out))
+    return {side: statistics.median(t) for side, t in times.items()}
 
 
 def bench(tree: Path, workload: str, seed: int) -> dict:
@@ -139,6 +166,7 @@ def main(argv: list[str]) -> int:
     work = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
         trees = {side: checkout(c, work / side) for side, c in commits.items()}
+        imports = import_ms(trees)
         record = {
             "description": f"{PAIRS} alternating parent/change pairs per workload, seeds "
                            f"{FIRST_SEED}-{FIRST_SEED + PAIRS - 1}, each run "
@@ -147,7 +175,8 @@ def main(argv: list[str]) -> int:
                            "even pairs; quartiles by statistics.quantiles(n=4); change_wins "
                            "counts the pairs in which the change did better.",
             "commits": {side: {"commit": c, "subject": git("log", "-1", "--format=%s", c),
-                               "src_setfam_lines": source_lines(trees[side])}
+                               "src_setfam_lines": source_lines(trees[side]),
+                               "import_ms": imports[side]}
                         for side, c in commits.items()},
             "machine": machine(),
             "workloads": {},
