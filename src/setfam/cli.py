@@ -77,12 +77,25 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _json_object(path: str) -> dict:
+    """The JSON object in the file at path: any other JSON value is an input error."""
+    obj = json.loads(Path(path).read_text())
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path} is not a JSON object")
+    return obj
+
+
 def _from_json(build, obj, what: str):
-    """build(obj), where obj came from an input file: a missing field is an input error."""
+    """build(obj), where obj came from an input file.
+
+    A missing field, or one of the wrong type, is an input error.
+    """
     try:
         return build(obj)
     except KeyError as exc:
         raise ValueError(f"{what} has no field {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"{what} has a field of the wrong type: {exc}") from None
 
 
 class CsvDoc:
@@ -130,7 +143,7 @@ def resolve_function(spec: str, n: int | None):
     if path.suffix == ".bftt1":
         return TruthTable.load(path)
     if path.suffix == ".json":
-        obj = json.loads(path.read_text())
+        obj = _json_object(spec)
         if "ones" in obj:
             return _from_json(TruthTable.from_json_obj, obj, f"table {spec}")
         return _from_json(load_instance, obj, f"instance {spec}").function()
@@ -368,14 +381,13 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     out: dict = {}
     if args.instance:
-        inst = _from_json(load_instance, json.loads(Path(args.instance).read_text()),
-                          f"instance {args.instance}")
+        inst = _from_json(load_instance, _json_object(args.instance), f"instance {args.instance}")
         out["instance"] = inst.to_json_obj()
         out["verification"] = _verify_instance(inst)
     if args.report:
         if not args.fn and not args.instance:
             raise ValueError("--report needs --fn or --instance to check against")
-        rep = json.loads(Path(args.report).read_text())
+        rep = _json_object(args.report)
         f = resolve_function(args.fn, args.n) if args.fn else inst.function()
         cert_obj = rep.get("certificate")
         if cert_obj is None:

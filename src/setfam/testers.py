@@ -47,10 +47,10 @@ the witness testers, and 3 (2) per round for the 3-query (2-query) tester.
 The witness testers evaluate a chunk in blocks of at most 2^12 points
 (``boolfn.BLOCK``): x and the banded downset of consecutive iterations
 together, or one large downset over several blocks.  The round testers
-evaluate every round's x first, then y only for the live rounds, which can
-still reject: the 2-query tester where f(x) = 1; the 3-query tester y1
-where f(x) = 0 and |y1| + |y2| >= |x| (y1 | y2 = x needs it), then y2
-where also f(y1) = 1.  The first rejecting round in round order is
+evaluate every round's x first (a small table looks up fewer, see below),
+then y only for the live rounds, which can still reject: the 2-query
+tester where f(x) = 1; the 3-query tester y1 where f(x) = 0 and
+|y1| + |y2| >= |x| (y1 | y2 = x needs it), then y2 where also f(y1) = 1.  The first rejecting round in round order is
 reported; the reported queries are still 3 (2) per round.  Both use one call of the
 oracle's ``batch`` method per block or per stage of a chunk when it has
 one, and evaluate point by point otherwise, so an oracle may also see
@@ -64,9 +64,12 @@ evaluates only the rejecting iteration's check, for its certificate.  A
 round tester keeps only the rounds whose x has a witness in place of the
 f(x) stage, and runs the rest of its stages on them: a rejecting round's
 y1 and y2 (y) are band 1-inputs below x whose union is x (below x's
-complement), so its x has one.  A chunk with no such x reads none of its
-later draws (see Chunks); the reports do not change, and the reported
-queries stay those above.
+complement), so its x has one.  The table is unpacked once per run, with
+the weight classes that hold a witness point; a chunk still reads every
+round's x row, in stream order, but picks and looks up the point x only
+of the rounds in those classes, and picks none when no round is in one.
+A chunk with no witness x reads none of its later draws (see Chunks); the
+reports do not change, and the reported queries stay those above.
 
 Identical (f, config) therefore reproduces identical reports byte for byte,
 and iterations stay independent given the weight batch.
@@ -93,6 +96,7 @@ from .boolfn import (
     _batch_band_points,
     _downset_class,
     _downset_draws,
+    _lowest,
     _subsets,
     mid_band,
     sample_band_weights,
@@ -302,11 +306,55 @@ def _small_witness_table(f, band: Band, uc: bool) -> TruthTable | None:
     """f's :func:`witness_table` for band and rule if f is a table of at most BLOCK points.
 
     Such a table answers every witness check at once; other oracles and
-    larger tables get None and evaluate their checks.
+    larger tables get None and evaluate their checks.  The round testers
+    unpack it once per run and rank only the rounds of the weight classes
+    that hold one of its witness points (:func:`_point_stage`).
     """
     if isinstance(f, TruthTable) and 1 << f.arity <= BLOCK:
         return witness_table(f, band, uc)
     return None
+
+
+def _round_points(
+    n: int, ws: np.ndarray, rng: np.random.Generator, classes: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rounds, xs): a chunk's rounds whose weight class is in classes, and their points.
+
+    Every round's x row is read from rng, in stream order, but only the
+    rounds of the marked classes are ranked, and none is when no round is;
+    classes None marks every class.
+    """
+    keys = rng.random((len(ws), n))
+    if classes is None:
+        return np.arange(len(ws)), _lowest(keys, ws)
+    rounds = np.flatnonzero(classes[ws])
+    if not rounds.size:
+        return rounds, np.empty(0, dtype=np.uint64)
+    return rounds, _lowest(keys[rounds], ws[rounds])
+
+
+def _point_stage(f, band: Band, uc: bool):
+    """A round tester's point stage: (ws, rng) -> (live, xs), the chunk's rounds that can reject.
+
+    A round can reject only at a witness point x, where f(x) = 0 (uc) or 1
+    (int) at least.  A table of at most BLOCK points looks its candidates'
+    xs up in its witness table, and its candidates are the rounds whose
+    weight class holds a witness point; any other oracle ranks every round
+    and evaluates f(x).
+    """
+    n, table = f.arity, _small_witness_table(f, band, uc)
+    classes = witness = None
+    if table is not None:
+        witness = table.as_array().view(bool)
+        classes = np.zeros(n + 1, dtype=bool)
+        classes[np.bitwise_count(np.flatnonzero(witness))] = True
+
+    def points(ws: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        rounds, xs = _round_points(n, ws, rng, classes)
+        hit = _answers(f, xs) == (0 if uc else 1) if witness is None else witness[xs]
+        return rounds[hit], xs[hit]
+
+    return points
 
 
 def _witness_tester(f, cfg: TesterConfig, uc: bool) -> TesterReport:
@@ -358,21 +406,19 @@ def uc_triple_tester(f, cfg: TesterConfig) -> TesterReport:
     rounds = _tau_rounds(cfg, n)
     rng = stream(cfg.seed)
     reads = _RoundReads(n, band, rounds, rng, 2, lambda ws: np.repeat(ws, 2))
-    table = _small_witness_table(f, band, True)
+    points = _point_stage(f, band, True)
     for start, ws in reads.chunks():
-        xs = _batch_band_points(n, ws, rng)
-        # a round can reject only at a witness point x (f(x) = 0 at least),
-        # and only if |y1| + |y2| >= |x|, then f(y1) = 1
-        live = np.flatnonzero(_answers(f, xs) == 0 if table is None else table.batch(xs))
+        # a round can reject only at a witness point x, and only if
+        # |y1| + |y2| >= |x|, then f(y1) = 1
+        live, x = points(ws, rng)
         (r1, r2), us = reads.read(start, ws, live)
         w = ws[live]
         j1, j2 = _downset_class(n, band, w[:, None], us.reshape(-1, 2)[live]).T
         fits = j1 + j2 >= w
-        live, j1, j2 = live[fits], j1[fits], j2[fits]
-        y1 = _subsets(xs[live], j1, r1[live])
+        live, x, j1, j2 = live[fits], x[fits], j1[fits], j2[fits]
+        y1 = _subsets(x, j1, r1[live])
         hit = _answers(f, y1) == 1
-        live, y1 = live[hit], y1[hit]
-        x = xs[live]
+        live, x, y1 = live[hit], x[hit], y1[hit]
         y2 = _subsets(x, j2[hit], r2[live])
         bad = np.flatnonzero((_answers(f, y2) == 1) & ((y1 | y2) == x))
         if bad.size:
@@ -396,18 +442,16 @@ def int_pair_tester(f, cfg: TesterConfig) -> TesterReport:
     rounds = _tau_rounds(cfg, n)
     rng = stream(cfg.seed)
     reads = _RoundReads(n, band, rounds, rng, 1, lambda ws: n - ws)
-    table = _small_witness_table(f, band, False)
+    points = _point_stage(f, band, False)
     for start, ws in reads.chunks():
-        xs = _batch_band_points(n, ws, rng)
-        # only a witness point x (f(x) = 1 at least) can reject
-        live = np.flatnonzero(_answers(f, xs) == 1 if table is None else table.batch(xs))
+        live, x = points(ws, rng)
         (r,), us = reads.read(start, ws, live)
         js = _downset_class(n, band, n - ws[live], us[live])
-        ys = _subsets(xs[live] ^ full, js, r[live])
+        ys = _subsets(x ^ full, js, r[live])
         bad = np.flatnonzero(_answers(f, ys) == 1)
         if bad.size:
             k = int(bad[0])
             i = int(live[k])
-            cert = IViolatingPair(int(ys[k]), int(xs[i]))
+            cert = IViolatingPair(int(ys[k]), int(x[k]))
             return TesterReport("reject", cert, 2 * (start + i + 1), start + i + 1, cfg.seed)
     return TesterReport("accept", None, 2 * rounds, rounds, cfg.seed)

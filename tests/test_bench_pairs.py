@@ -105,3 +105,47 @@ class TestImportMs:
                                            "parent", "change"]
         assert set(got) == {"parent", "change"}
         assert got["parent"] > got["change"] >= 0.0
+
+
+class TestRssFit:
+    @staticmethod
+    def fit_runs(parent_ops, change_ops, rss, change_offset=0.0):
+        """Runs whose peak_rss_mb is rss(completed operations), the change's raised by an offset."""
+        return [{side: {"attempted": ops + 5, "failed": 5,
+                        "metrics": {"peak_rss_mb": rss(ops) + (change_offset if side == "change"
+                                                               else 0.0)}}
+                 for side, ops in (("parent", p), ("change", c))}
+                for p, c in zip(parent_ops, change_ops)]
+
+    def test_runs_on_one_line_give_its_intercept_and_bytes_per_operation(self):
+        line = lambda ops: 41.4 + 92.0 * ops / 2**20  # noqa: E731
+        ops = [200_000 + 10_000 * i for i in range(10)]
+        got = bench_pairs.rss_fit(self.fit_runs(ops, [o + 70_000 for o in ops], line))
+        assert got["runs"] == 20
+        assert got["intercept_mib"] == pytest.approx(41.4)
+        assert got["slope_b_per_op"] == pytest.approx(92.0)
+        assert got["r"] == pytest.approx(1.0)
+        assert got["median_residual_mib"] == pytest.approx({"parent": 0.0, "change": 0.0},
+                                                           abs=1e-9)
+
+    def test_a_side_above_the_line_has_a_positive_median_residual(self):
+        ops = [1000 * i for i in range(1, 11)]
+        got = bench_pairs.rss_fit(self.fit_runs(ops, ops, lambda o: 50.0 + o / 1e4, 1.0))
+        # the fit runs between the sides: the change half a MiB above, the parent below
+        assert got["median_residual_mib"]["change"] == pytest.approx(0.5)
+        assert got["median_residual_mib"]["parent"] == pytest.approx(-0.5)
+        assert got["intercept_mib"] == pytest.approx(50.5)
+        assert 0.0 < got["r"] < 1.0
+
+    def test_failed_operations_are_not_counted_and_a_run_without_figures_is_left_out(self):
+        runs = self.fit_runs([100, 200, 300], [150, 250, 350], lambda o: 10.0 + o / 100)
+        runs[0]["parent"] = {"attempted": None, "failed": None, "metrics": {}}
+        runs[1]["change"]["metrics"] = {}
+        got = bench_pairs.rss_fit(runs)
+        assert got["runs"] == 4
+        assert got["slope_b_per_op"] == pytest.approx(2**20 / 100)
+        assert got["intercept_mib"] == pytest.approx(10.0)
+
+    def test_no_line_through_one_operation_count(self):
+        assert bench_pairs.rss_fit(self.fit_runs([500] * 10, [500] * 10, lambda o: 40.0)) is None
+        assert bench_pairs.rss_fit([]) is None

@@ -275,6 +275,9 @@ class TestInputErrors:
         (tmp_path / "no_kind.json").write_text(json.dumps({"n": 16, "eps": 0.5, "seed": 1}))
         (tmp_path / "no_n.json").write_text(json.dumps({"ones": [1, 2]}))
         (tmp_path / "no_type.json").write_text(json.dumps({"certificate": {"points": [1, 2]}}))
+        (tmp_path / "list.json").write_text(json.dumps([1, 2]))
+        (tmp_path / "ones_int.json").write_text(json.dumps({"n": 3, "ones": 5}))
+        (tmp_path / "one.json").write_text(json.dumps([1]))
 
     @pytest.mark.parametrize("argv, message", [
         (["test", "--alg", "uc", "--fn", "{d}/missing.bftt1", "--eps", "0.5"],
@@ -305,13 +308,20 @@ class TestInputErrors:
          "--seeds and --trials must be at least 1"),
         (["sweep", "--what", "reject-rate", "--ns", "5", "--trials", "0"],
          "--seeds and --trials must be at least 1"),
+        (["test", "--alg", "uc", "--fn", "{d}/list.json", "--eps", "0.5"],
+         "list.json is not a JSON object"),
+        (["test", "--alg", "uc", "--fn", "{d}/ones_int.json", "--eps", "0.5"],
+         "table {d}/ones_int.json has a field of the wrong type"),
+        (["verify", "--report", "{d}/one.json", "--fn", "const1", "--n", "2"],
+         "one.json is not a JSON object"),
+        (["verify", "--instance", "{d}/list.json"], "list.json is not a JSON object"),
     ])
     def test_a_bad_input_exits_2_with_a_message(self, argv, message, tmp_path, capsys):
         self.files(tmp_path)
         code = main([a.replace("{d}", str(tmp_path)) for a in argv])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("setfam: error: ") and message in err
+        assert err.startswith("setfam: error: ") and message.replace("{d}", str(tmp_path)) in err
 
 
 class TestRepeatedMain:

@@ -478,9 +478,9 @@ class TestRoundCascade:
         from setfam.boolfn import BooleanFunction
 
         rows = []  # the rows of each _lowest call: points, then each subset stage, per chunk
-        lowest = B._lowest
-        monkeypatch.setattr(B, "_lowest", lambda keys, counts: (
-            rows.append(len(keys)) or lowest(keys, counts)))
+        for module in (T, B):  # the testers rank the points, boolfn's _subsets the subsets
+            monkeypatch.setattr(module, "_lowest", lambda keys, counts, lowest=B._lowest: (
+                rows.append(len(keys)) or lowest(keys, counts)))
         rounds = 16320
         for n in (5, 6, 9):
             dictator_ones = [x for x in range(1 << n) if x & 1]
@@ -491,12 +491,12 @@ class TestRoundCascade:
                     "int": (TruthTable.from_ones(n, [0]), seed)}
             for kind in ("uc", "int"):
                 cfg = TesterConfig(0.5, n, rounds)
-                # the table's empty witness table leaves its subset stages no live row
+                # the table's empty witness table marks no class: no point is ranked,
+                # and its subset stages get no live row
                 rows.clear()
                 alg, per_round = self.ALGS[kind]
                 assert alg(accept[kind], cfg).verdict == "accept"
-                assert rows[::per_round] == [stop - start for start, stop in T._chunks(rounds)]
-                assert not any(r for i, r in enumerate(rows) if i % per_round), (n, kind)
+                assert rows and not any(rows), (n, kind)
                 # the wrapper's f(x) stage sends the rounds with f(x) = 0 (1) on
                 rows.clear()
                 point = BooleanFunction(n, accept[kind], accept[kind].batch)
@@ -508,6 +508,80 @@ class TestRoundCascade:
                 got, want = self.both(kind, f, TesterConfig(0.5, seed, rounds))
                 assert got == want, (n, kind)
                 assert '"verdict":"reject"' in got and json.loads(got)["iterations_run"] > 1984
+
+    #: (kind, n, density, table seed): sparse tables whose witness points fill
+    #: some of the band's weight classes but not all
+    PARTIAL = [("uc", 8, 0.01, 2), ("uc", 8, 0.01, 3), ("uc", 9, 0.02, 1),
+               ("int", 8, 0.01, 2), ("int", 10, 0.01, 3), ("int", 10, 0.02, 3)]
+
+    @staticmethod
+    def partial_table(kind, n, density, k):
+        """The table and its witness classes, a proper non-empty subset of its band's."""
+        f = TruthTable.from_array(n, stream(93, n, k).random(1 << n) < density)
+        band = mid_band(n, 0.5, widened=kind == "uc")
+        witness = reference_testers.witness_array(f, band, kind == "uc")
+        classes = {int(x).bit_count() for x in np.flatnonzero(witness)}
+        assert classes and classes < set(band.weights()), (kind, n, density, k)
+        return f, classes
+
+    def test_a_partial_class_mask_gives_the_reference_and_f_x_reports(self, monkeypatch):
+        # default chunks, up to 8,192 rounds: the candidates of a large chunk
+        # are ranked by column ranks
+        import setfam.boolfn as B
+        import setfam.testers as T
+        from setfam.boolfn import BooleanFunction
+
+        ranked = []  # the rows of each of the point stage's _lowest calls
+        monkeypatch.setattr(T, "_lowest", lambda keys, counts, lowest=B._lowest: (
+            ranked.append(len(keys)) or lowest(keys, counts)))
+        seen = set()
+        for kind, n, density, k in self.PARTIAL:
+            f, _ = self.partial_table(kind, n, density, k)
+            alg, _ = self.ALGS[kind]
+            for seed in range(3):
+                cfg = TesterConfig(0.5, seed, 16320)
+                ranked.clear()
+                got, want = self.both(kind, f, cfg)
+                large = max(ranked) >= B._RANK_ROWS
+                assert got == want == alg(BooleanFunction(n, f, f.batch), cfg).to_json()
+                rep = json.loads(got)
+                seen.add((kind, rep["verdict"], large and rep["iterations_run"] > 4032))
+        assert {(kind, verdict, True) for kind in ("uc", "int")
+                for verdict in ("accept", "reject")} <= seen, seen
+
+    @pytest.mark.parametrize("chunking", [None, (2, 16)])
+    def test_each_chunk_ranks_the_rounds_of_the_witness_classes(self, chunking, monkeypatch):
+        import setfam.boolfn as B
+        import setfam.testers as T
+
+        counts = []  # the counts of each of the point stage's _lowest calls
+        monkeypatch.setattr(T, "_lowest", lambda keys, cs, lowest=B._lowest: (
+            counts.append(cs.tolist()) or lowest(keys, cs)))
+        if chunking is not None:
+            monkeypatch.setattr(T, "CHUNK_MIN", chunking[0])
+            monkeypatch.setattr(T, "CHUNK_MAX", chunking[1])
+        tables = [(kind, *self.partial_table(kind, n, density, k))
+                  for kind, n, density, k in self.PARTIAL]
+        for kind, n in (("uc", 6), ("int", 9)):  # a dictator's table has no witness point
+            tables.append((kind, TruthTable.from_ones(
+                n, [x ^ (kind == "uc") for x in range(1 << n) if x & 1]), set()))
+        skipped = 0
+        for kind, f, classes in tables:
+            n, (alg, _) = f.arity, self.ALGS[kind]
+            band = mid_band(n, 0.5, widened=kind == "uc")
+            for seed in range(3):
+                counts.clear()
+                rep = alg(f, TesterConfig(0.5, seed, 3000))
+                want = []
+                for (start, _), ws in zip(T._chunks(3000),
+                                          T._weight_chunks(n, band, 3000, stream(seed))):
+                    if start >= rep.iterations_run:
+                        break
+                    marked = [w for w in ws.tolist() if w in classes]
+                    want += [marked] if marked else []
+                    skipped += bool(classes) and not marked
+                assert counts == want, (kind, n, seed)
+        assert skipped, "no chunk of a run with candidates went unranked"
 
     @pytest.mark.parametrize("kind", ["uc", "int"])
     def test_each_chunk_evaluates_at_most_every_round(self, kind):
@@ -564,23 +638,25 @@ class Logged:
 def logged_run(alg, f, cfg):
     """alg's report and its reads per chunk: [(xs, [("rows" | "draws", count), ...])].
 
-    Rows are logged at the testers' cursors, so in runs of more than one chunk.
+    xs are the chunk's ranked points: every live round's, since a live round's
+    class holds a witness point.  Rows are logged at the testers' cursors, so
+    in runs of more than one chunk.
     """
     import setfam.testers as T
 
     log = []
-    cursor, draws, points = T._cursor, T._downset_draws, T._batch_band_points
+    cursor, draws, points = T._cursor, T._downset_draws, T._round_points
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(T, "_cursor", lambda rng, words: Logged(cursor(rng, words), log))
         mp.setattr(T, "_downset_draws", lambda rng, n, band, ws: (
             log.append(("draws", len(ws))) or draws(rng, n, band, ws)))
-        mp.setattr(T, "_batch_band_points", lambda n, ws, rng: (
-            log.append(("points", points(n, ws, rng))) or log[-1][1]))
+        mp.setattr(T, "_round_points", lambda n, ws, rng, classes: (
+            log.append(("points", points(n, ws, rng, classes))) or log[-1][1]))
         rep = alg(f, cfg)
     chunks = []
     for kind, value in log:
         if kind == "points":
-            chunks.append((value, []))
+            chunks.append((value[1], []))
         else:
             chunks[-1][1].append((kind, value))
     return rep, chunks

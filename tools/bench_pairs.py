@@ -19,8 +19,11 @@ parent's q3 - q1; ``within_bound``: its median is worse by at most the
 metric's bound; ``spread_within_bound``: its own q3 - q1 is at most the
 bound times the parent's median, which shows a spread too wide to tell
 apart before a gate refuses it, and gates nothing here), and whether every
-run was correct with no failed operation; plus each run's figures, the
-machine, the versions, and both commits with the line count of their
+run was correct with no failed operation; ``rss_fit``, the least-squares
+line of peak_rss_mb against completed operations (attempted - failed) over
+the workload's 20 runs: intercept in MiB, slope in bytes per operation, r
+and each side's median residual, which gates nothing; plus each run's
+figures, the machine, the versions, and both commits with the line count of their
 src/setfam and their ``import_ms``: the median process CPU time, in ms, of
 ``load_setfam()`` from their benchmark/workloads.py (the setfam modules the
 benchmark imports) after ``import numpy``, over 15 fresh processes per side,
@@ -142,6 +145,35 @@ def compare(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def rss_fit(runs: list[dict]) -> dict | None:
+    """The least-squares line of peak_rss_mb against completed operations, both sides' runs.
+
+    Completed operations are attempted - failed.  The line's intercept is in
+    MiB and its slope in bytes per operation; r is the correlation, and each
+    side's median residual (MiB) shows whether it sits above or below the
+    line.  None when fewer than two runs report both figures or every run
+    completed the same count.
+    """
+    points = {"parent": [], "change": []}
+    for run in runs:
+        for side, pts in points.items():
+            ops, rss = run[side].get("attempted"), run[side]["metrics"].get("peak_rss_mb")
+            if ops is not None and rss is not None:
+                pts.append((ops - (run[side].get("failed") or 0), rss))
+    xs = [x for pts in points.values() for x, _ in pts]
+    ys = [y for pts in points.values() for _, y in pts]
+    try:
+        slope, intercept = statistics.linear_regression(xs, ys)
+        r = statistics.correlation(xs, ys)
+    except statistics.StatisticsError:
+        return None
+    return {"intercept_mib": intercept, "slope_b_per_op": slope * 2**20, "r": r,
+            "runs": len(xs),
+            "median_residual_mib": {side: statistics.median(y - intercept - slope * x
+                                                            for x, y in pts) if pts else None
+                                    for side, pts in points.items()}}
+
+
 def machine() -> dict:
     import numpy
 
@@ -200,6 +232,7 @@ def main(argv: list[str]) -> int:
                 "failed_ops": {s: sum(r[s]["failed"] or 0 for r in runs)
                                for s in ("parent", "change")},
                 "metrics": compare(runs, spec["end_to_end"]),
+                "rss_fit": rss_fit(runs),
                 "runs": runs,
             }
         out = ROOT / f"BENCH_{commits['change'][:12]}.json"
