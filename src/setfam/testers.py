@@ -80,7 +80,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from functools import partial
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -268,6 +269,7 @@ class _RoundReads:
         self.n, self.band, self.rounds, self.count, self.below = n, band, rounds, rows, below
         self.reader = _weight_reader(n, band, rounds, rng)  # before any cursor at W
         self.origin, self.rows, self.draws, self.at = rng, [rng] * rows, rng, 0
+        self.xs, self.xs_at = rng, 0
         if rounds > CHUNK_MIN:  # else rng reads every segment in stream order
             self.origin, self.draws = _cursor(rng, 0), None
             self.mark = self.reader.bit_generator.state
@@ -276,6 +278,13 @@ class _RoundReads:
         """(start, weights) of each chunk."""
         for start, stop in _chunks(self.rounds):
             yield start, sample_band_weights(self.n, self.band, self.reader, stop - start)
+
+    def x_rows(self, start: int, ws: np.ndarray) -> np.ndarray:
+        """The chunk's x rows, a (len(ws), n) array, from a cursor reopened after skipped chunks."""
+        if start > self.xs_at:
+            self.xs = _cursor(self.origin, start * self.n)
+        self.xs_at = start + len(ws)
+        return self.xs.random((len(ws), self.n))
 
     def read(self, start: int, ws: np.ndarray, live: np.ndarray):
         """The chunk's y rows, a (len(ws), n) array per segment, and its downset draws.
@@ -316,31 +325,31 @@ def _small_witness_table(f, band: Band, uc: bool) -> TruthTable | None:
 
 
 def _round_points(
-    n: int, ws: np.ndarray, rng: np.random.Generator, classes: np.ndarray | None
+    ws: np.ndarray, rows: Callable[[], np.ndarray], classes: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(rounds, xs): a chunk's rounds whose weight class is in classes, and their points.
 
-    Every round's x row is read from rng, in stream order, but only the
-    rounds of the marked classes are ranked, and none is when no round is;
-    classes None marks every class.
+    rows() gives the chunk's x rows, and is called only when a round is in
+    a marked class; only those rounds are ranked.  classes None marks every
+    class.
     """
-    keys = rng.random((len(ws), n))
     if classes is None:
-        return np.arange(len(ws)), _lowest(keys, ws)
+        return np.arange(len(ws)), _lowest(rows(), ws)
     rounds = np.flatnonzero(classes[ws])
     if not rounds.size:
         return rounds, np.empty(0, dtype=np.uint64)
-    return rounds, _lowest(keys[rounds], ws[rounds])
+    return rounds, _lowest(rows()[rounds], ws[rounds])
 
 
 def _point_stage(f, band: Band, uc: bool):
-    """A round tester's point stage: (ws, rng) -> (live, xs), the chunk's rounds that can reject.
+    """A round tester's point stage: (ws, rows) -> (live, xs), the chunk's rounds that can reject.
 
-    A round can reject only at a witness point x, where f(x) = 0 (uc) or 1
-    (int) at least.  A table of at most BLOCK points looks its candidates'
-    xs up in its witness table, and its candidates are the rounds whose
-    weight class holds a witness point; any other oracle ranks every round
-    and evaluates f(x).
+    rows() gives the chunk's x rows (:meth:`_RoundReads.x_rows`).  A round
+    can reject only at a witness point x, where f(x) = 0 (uc) or 1 (int) at
+    least.  A table of at most BLOCK points looks its candidates' xs up in
+    its witness table, and its candidates are the rounds whose weight class
+    holds a witness point, so a chunk with none reads no x row; any other
+    oracle reads and ranks every round and evaluates f(x).
     """
     n, table = f.arity, _small_witness_table(f, band, uc)
     classes = witness = None
@@ -349,8 +358,8 @@ def _point_stage(f, band: Band, uc: bool):
         classes = np.zeros(n + 1, dtype=bool)
         classes[np.bitwise_count(np.flatnonzero(witness))] = True
 
-    def points(ws: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        rounds, xs = _round_points(n, ws, rng, classes)
+    def points(ws: np.ndarray, rows: Callable[[], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        rounds, xs = _round_points(ws, rows, classes)
         hit = _answers(f, xs) == (0 if uc else 1) if witness is None else witness[xs]
         return rounds[hit], xs[hit]
 
@@ -410,7 +419,7 @@ def uc_triple_tester(f, cfg: TesterConfig) -> TesterReport:
     for start, ws in reads.chunks():
         # a round can reject only at a witness point x, and only if
         # |y1| + |y2| >= |x|, then f(y1) = 1
-        live, x = points(ws, rng)
+        live, x = points(ws, partial(reads.x_rows, start, ws))
         (r1, r2), us = reads.read(start, ws, live)
         w = ws[live]
         j1, j2 = _downset_class(n, band, w[:, None], us.reshape(-1, 2)[live]).T
@@ -444,7 +453,7 @@ def int_pair_tester(f, cfg: TesterConfig) -> TesterReport:
     reads = _RoundReads(n, band, rounds, rng, 1, lambda ws: n - ws)
     points = _point_stage(f, band, False)
     for start, ws in reads.chunks():
-        live, x = points(ws, rng)
+        live, x = points(ws, partial(reads.x_rows, start, ws))
         (r,), us = reads.read(start, ws, live)
         js = _downset_class(n, band, n - ws[live], us[live])
         ys = _subsets(x ^ full, js, r[live])

@@ -635,30 +635,48 @@ class Logged:
         return getattr(self.rng, name)
 
 
-def logged_run(alg, f, cfg):
+def logged_run(alg, f, cfg, x_rows=None):
     """alg's report and its reads per chunk: [(xs, [("rows" | "draws", count), ...])].
 
     xs are the chunk's ranked points: every live round's, since a live round's
     class holds a witness point.  Rows are logged at the testers' cursors, so
-    in runs of more than one chunk.
+    in runs of more than one chunk.  A chunk's x rows are logged as their own
+    kind, "x rows", from the stream or a cursor alike, and are not in its list;
+    x_rows, if given, is filled with each chunk's list of x-row read sizes.
     """
     import setfam.testers as T
 
     log = []
     cursor, draws, points = T._cursor, T._downset_draws, T._round_points
+
+    def round_points(ws, rows, classes):
+        def logged_rows():
+            mark, keys = len(log), rows()
+            log[mark:] = [("x rows", len(keys))]  # in place of a cursor's "rows" entry
+            return keys
+
+        entry = ["points", None]  # before the chunk's x rows, which its cursor may log
+        log.append(entry)
+        entry[1] = points(ws, logged_rows, classes)
+        return entry[1]
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(T, "_cursor", lambda rng, words: Logged(cursor(rng, words), log))
         mp.setattr(T, "_downset_draws", lambda rng, n, band, ws: (
             log.append(("draws", len(ws))) or draws(rng, n, band, ws)))
-        mp.setattr(T, "_round_points", lambda n, ws, rng, classes: (
-            log.append(("points", points(n, ws, rng, classes))) or log[-1][1]))
+        mp.setattr(T, "_round_points", round_points)
         rep = alg(f, cfg)
-    chunks = []
+    chunks, xs_read = [], []
     for kind, value in log:
         if kind == "points":
             chunks.append((value[1], []))
+            xs_read.append([])
+        elif kind == "x rows":
+            xs_read[-1].append(value)
         else:
             chunks[-1][1].append((kind, value))
+    if x_rows is not None:
+        x_rows[:] = xs_read
     return rep, chunks
 
 

@@ -21,8 +21,10 @@ bound times the parent's median, which shows a spread too wide to tell
 apart before a gate refuses it, and gates nothing here), and whether every
 run was correct with no failed operation; ``rss_fit``, the least-squares
 line of peak_rss_mb against completed operations (attempted - failed) over
-the workload's 20 runs: intercept in MiB, slope in bytes per operation, r
-and each side's median residual, which gates nothing; plus each run's
+the workload's 20 runs: intercept in MiB, slope in bytes per operation, r,
+each side's median residual and the operations that peak_rss_mb's bound
+admits above the parent's median (``headroom_ops``, and as a gain in
+percent, ``headroom_gain_pct``), which gates nothing; plus each run's
 figures, the machine, the versions, and both commits with the line count of their
 src/setfam and their ``import_ms``: the median process CPU time, in ms, of
 ``load_setfam()`` from their benchmark/workloads.py (the setfam modules the
@@ -145,14 +147,18 @@ def compare(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
-def rss_fit(runs: list[dict]) -> dict | None:
+def rss_fit(runs: list[dict], bound: float = 0.1) -> dict | None:
     """The least-squares line of peak_rss_mb against completed operations, both sides' runs.
 
     Completed operations are attempted - failed.  The line's intercept is in
     MiB and its slope in bytes per operation; r is the correlation, and each
     side's median residual (MiB) shows whether it sits above or below the
-    line.  None when fewer than two runs report both figures or every run
-    completed the same count.
+    line.  headroom_ops is how many more operations the line admits before
+    peak_rss_mb passes its bound: bound * the parent's median peak_rss_mb /
+    the slope; headroom_gain_pct is that count over the parent's median
+    completed operations, in percent.  Both are None for a slope <= 0 or
+    without parent runs.  None when fewer than two runs report both figures
+    or every run completed the same count.
     """
     points = {"parent": [], "change": []}
     for run in runs:
@@ -167,8 +173,12 @@ def rss_fit(runs: list[dict]) -> dict | None:
         r = statistics.correlation(xs, ys)
     except statistics.StatisticsError:
         return None
+    headroom = gain = None
+    if slope > 0 and points["parent"]:
+        headroom = bound * statistics.median(y for _, y in points["parent"]) / slope
+        gain = 100.0 * headroom / statistics.median(x for x, _ in points["parent"])
     return {"intercept_mib": intercept, "slope_b_per_op": slope * 2**20, "r": r,
-            "runs": len(xs),
+            "runs": len(xs), "headroom_ops": headroom, "headroom_gain_pct": gain,
             "median_residual_mib": {side: statistics.median(y - intercept - slope * x
                                                             for x, y in pts) if pts else None
                                     for side, pts in points.items()}}
@@ -195,6 +205,7 @@ def main(argv: list[str]) -> int:
     revs = {"parent": argv[0], "change": argv[1] if len(argv) > 1 else "HEAD"}
     commits = {side: git("rev-parse", "--verify", rev + "^{commit}") for side, rev in revs.items()}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    rss_bound = next(m["bound"] for m in spec["end_to_end"] if m["name"] == "peak_rss_mb")
     work = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
         trees = {side: checkout(c, work / side) for side, c in commits.items()}
@@ -232,7 +243,7 @@ def main(argv: list[str]) -> int:
                 "failed_ops": {s: sum(r[s]["failed"] or 0 for r in runs)
                                for s in ("parent", "change")},
                 "metrics": compare(runs, spec["end_to_end"]),
-                "rss_fit": rss_fit(runs),
+                "rss_fit": rss_fit(runs, rss_bound),
                 "runs": runs,
             }
         out = ROOT / f"BENCH_{commits['change'][:12]}.json"
