@@ -30,16 +30,21 @@ and at W + 2R*n for the 2-query tester.  The scalar draws also keep the
 Chunks.  The testers work through their iterations in chunks of 64, 128,
 ... rounds, doubling up to 8192.  A run of more than one chunk draws the
 weight batch once to find W, then again chunk by chunk from a Philox cursor
-at its start.  A 3-/2-query tester reads a chunk's y rows and scalar draws
-only if the chunk has a live round (see Queries), from cursors at each
-segment's offset; a run of one chunk reads them from the stream itself.
-After skipped chunks the row cursors reopen at W + k*R*n + start*n, and the
-skipped chunks' scalar draws, whose word count varies, are made first, from
-their weights drawn again off a saved state of the weight cursor.  So the
-draws are those of reading every segment whole, and as the catch-up too goes
-chunk by chunk, memory is O(8192 * n) for any R.  A run that rejects early
-draws at most one chunk beyond its last iteration; a run with no live chunk
-draws no y row and no scalar draw.
+at its start.  A 3-/2-query tester reads a chunk's x rows only if the chunk
+has a candidate round (every round is one, but with a small table, see
+below), and its y rows and scalar draws only if it has a live round (see
+Queries).  The x rows come from the stream itself, which the weight batch
+leaves at W, until a chunk skips them; after skipped chunks one cursor
+reopens the x segment at W + start*n, and cursors open the y row segments
+at W + k*R*n + start*n.  The skipped chunks' scalar draws, whose word count
+varies, are made first, from their weights drawn again off a saved state of
+the weight cursor.  So the draws are those of reading every segment whole,
+and as the catch-up too goes chunk by chunk, memory is O(8192 * n) for any
+R.  A run of one chunk reads every segment from the stream itself: it draws
+nothing after its x rows unless a round is a candidate.  A run that rejects
+early draws at most one chunk beyond its last iteration; a run with no
+candidate round draws no x row, and one with no live chunk no y row and no
+scalar draw.
 
 Queries.  A run reports the queries of the iterations it ran up to and
 including the first rejecting one: 1 + |banded downset| per iteration for
@@ -47,15 +52,16 @@ the witness testers, and 3 (2) per round for the 3-query (2-query) tester.
 The witness testers evaluate a chunk in blocks of at most 2^12 points
 (``boolfn.BLOCK``): x and the banded downset of consecutive iterations
 together, or one large downset over several blocks.  The round testers
-evaluate every round's x first (a small table looks up fewer, see below),
-then y only for the live rounds, which can still reject: the 2-query
-tester where f(x) = 1; the 3-query tester y1 where f(x) = 0 and
-|y1| + |y2| >= |x| (y1 | y2 = x needs it), then y2 where also f(y1) = 1.  The first rejecting round in round order is
-reported; the reported queries are still 3 (2) per round.  Both use one call of the
-oracle's ``batch`` method per block or per stage of a chunk when it has
-one, and evaluate point by point otherwise, so an oracle may also see
-points of the iterations after the rejecting one in its block or chunk;
-those answers are not counted and cannot change the report.
+evaluate every round's x first (a small table reads and looks up fewer, see
+below), then y only for the live rounds, which can still reject: the
+2-query tester where f(x) = 1; the 3-query tester y1 where f(x) = 0 and
+|y1| + |y2| >= |x| (y1 | y2 = x needs it), then y2 where also f(y1) = 1.
+The first rejecting round in round order is reported; the reported queries
+are still 3 (2) per round.  Both use one call of the oracle's ``batch``
+method per block or per stage of a chunk when it has one, and evaluate
+point by point otherwise, so an oracle may also see points of the
+iterations after the rejecting one in its block or chunk; those answers are
+not counted and cannot change the report.
 
 A ``TruthTable`` of at most 2^12 points is read whole once per run instead:
 its ``violations.witness_table`` for the tester's band (a ``TruthTable``)
@@ -65,11 +71,13 @@ round tester keeps only the rounds whose x has a witness in place of the
 f(x) stage, and runs the rest of its stages on them: a rejecting round's
 y1 and y2 (y) are band 1-inputs below x whose union is x (below x's
 complement), so its x has one.  The table is unpacked once per run, with
-the weight classes that hold a witness point; a chunk still reads every
-round's x row, in stream order, but picks and looks up the point x only
-of the rounds in those classes, and picks none when no round is in one.
-A chunk with no witness x reads none of its later draws (see Chunks); the
-reports do not change, and the reported queries stay those above.
+the weight classes that hold a witness point, and a round is a candidate
+when its weight class is one of them.  A chunk reads its x rows only when
+it has a candidate, and picks and looks up the point x only of its
+candidates; a chunk with none reads no x row, though it still runs each
+stage, on no round.  A chunk with no witness x reads none of its later
+draws (see Chunks); the reports do not change, and the reported queries
+stay those above.
 
 Identical (f, config) therefore reproduces identical reports byte for byte,
 and iterations stay independent given the weight batch.
@@ -258,10 +266,11 @@ def _weight_chunks(
 
 
 class _RoundReads:
-    """A round tester's weights, then its y rows and scalar draws for live chunks only.
+    """A round tester's weights, then the reads of only the chunks that need them.
 
-    rows is the number of y row segments; the scalar draws sample below
-    below(ws).  See Chunks in the module docstring.
+    x rows are read for chunks with a candidate round, y rows and scalar draws
+    for live chunks.  rows is the number of y row segments; the scalar draws
+    sample below below(ws).  See Chunks in the module docstring.
     """
 
     def __init__(self, n: int, band: Band, rounds: int, rng: np.random.Generator,
@@ -269,7 +278,7 @@ class _RoundReads:
         self.n, self.band, self.rounds, self.count, self.below = n, band, rounds, rows, below
         self.reader = _weight_reader(n, band, rounds, rng)  # before any cursor at W
         self.origin, self.rows, self.draws, self.at = rng, [rng] * rows, rng, 0
-        self.xs, self.xs_at = rng, 0
+        self.x_reader, self.x_at = rng, 0
         if rounds > CHUNK_MIN:  # else rng reads every segment in stream order
             self.origin, self.draws = _cursor(rng, 0), None
             self.mark = self.reader.bit_generator.state
@@ -281,10 +290,10 @@ class _RoundReads:
 
     def x_rows(self, start: int, ws: np.ndarray) -> np.ndarray:
         """The chunk's x rows, a (len(ws), n) array, from a cursor reopened after skipped chunks."""
-        if start > self.xs_at:
-            self.xs = _cursor(self.origin, start * self.n)
-        self.xs_at = start + len(ws)
-        return self.xs.random((len(ws), self.n))
+        if start > self.x_at:
+            self.x_reader = _cursor(self.origin, start * self.n)
+        self.x_at = start + len(ws)
+        return self.x_reader.random((len(ws), self.n))
 
     def read(self, start: int, ws: np.ndarray, live: np.ndarray):
         """The chunk's y rows, a (len(ws), n) array per segment, and its downset draws.

@@ -149,3 +149,30 @@ class TestRssFit:
     def test_no_line_through_one_operation_count(self):
         assert bench_pairs.rss_fit(self.fit_runs([500] * 10, [500] * 10, lambda o: 40.0)) is None
         assert bench_pairs.rss_fit([]) is None
+
+    def test_headroom_is_the_bound_over_the_slope_at_the_parents_medians(self):
+        line = lambda ops: 41.4 + 92.0 * ops / 2**20  # noqa: E731
+        ops = [200_000 + 10_000 * i for i in range(10)]  # the parent's median is 245,000
+        runs = self.fit_runs(ops, [o + 70_000 for o in ops], line)
+        got = bench_pairs.rss_fit(runs)
+        assert got["headroom_ops"] == pytest.approx(0.1 * line(245_000) * 2**20 / 92.0)
+        assert got["headroom_gain_pct"] == pytest.approx(100.0 * got["headroom_ops"] / 245_000)
+        wider = bench_pairs.rss_fit(runs, bound=0.2)
+        assert wider["headroom_ops"] == pytest.approx(2 * got["headroom_ops"])
+        assert wider["headroom_gain_pct"] == pytest.approx(2 * got["headroom_gain_pct"])
+
+    def test_no_headroom_without_a_rising_line(self):
+        ops = [1000 * i for i in range(1, 11)]
+        got = bench_pairs.rss_fit(self.fit_runs(ops, ops, lambda o: 60.0 - o / 1e4))
+        assert got["slope_b_per_op"] < 0
+        assert got["headroom_ops"] is None and got["headroom_gain_pct"] is None
+
+    def test_a_committed_record_gives_the_figure_worked_out_by_hand(self):
+        # completeness-n4 in BENCH_72e13b81c959.json: 89.4 B per operation,
+        # 58.1 MiB and 201k operations at the parent's medians
+        import json
+
+        record = json.loads((_PATH.parent.parent / "BENCH_72e13b81c959.json").read_text())
+        got = bench_pairs.rss_fit(record["workloads"]["completeness-n4"]["runs"])
+        assert got["headroom_ops"] == pytest.approx(68_146, abs=1)
+        assert got["headroom_gain_pct"] == pytest.approx(34.9, abs=0.05)

@@ -178,6 +178,35 @@ class TestSoundnessSmall:
             z = (rejects - runs * p) / math.sqrt(runs * p * (1 - p))
             assert abs(z) < 5, (alg.__name__, f.arity, float(p), rejects)
 
+    #: (tester, n, table seed, density): tables whose witness points fill some
+    #: weight classes of the band but not all, with a per-round success p
+    #: small enough that a reject rate near 1/2 takes several chunks of rounds
+    SPARSE_SUCCESS = [(uc_triple_tester, 4, 11, 0.05), (uc_triple_tester, 5, 3, 0.1),
+                      (uc_triple_tester, 6, 79, 0.1), (int_pair_tester, 4, 43, 0.1),
+                      (int_pair_tester, 5, 116, 0.1), (int_pair_tester, 6, 22, 0.1)]
+
+    @pytest.mark.parametrize("alg, n, k, density", SPARSE_SUCCESS)
+    def test_reject_counts_over_several_chunks_match_the_exact_rate(self, alg, n, k, density):
+        # R rounds reject with probability 1 - (1 - p)^R: the chunks that skip
+        # their reads must leave the rounds independent and each at p
+        import setfam.testers as T
+
+        eps, runs, uc = 0.5, 300, alg is uc_triple_tester
+        f = TruthTable.from_array(n, stream(94, n, k).random(1 << n) < density)
+        band = mid_band(n, eps, widened=uc)
+        witness = reference_testers.witness_array(f, band, uc)
+        classes = {int(x).bit_count() for x in np.flatnonzero(witness)}
+        assert classes and classes < set(band.weights()), (alg.__name__, n, classes)
+        p = float(self.exact_round_success(f, eps, uc))
+        rounds = max(200, round(math.log(2) / -math.log1p(-p)))
+        q = 1 - (1 - p) ** rounds
+        assert len(list(T._chunks(rounds))) >= 3 and 0.2 < q < 0.8, (alg.__name__, n, p)
+        rejects = sum(
+            alg(f, TesterConfig(eps=eps, seed=2 * 10**6 + s, max_iterations=rounds)).verdict
+            == "reject" for s in range(runs))
+        z = (rejects - runs * q) / math.sqrt(runs * q * (1 - q))
+        assert abs(z) < 5, (alg.__name__, n, p, rounds, rejects)
+
     def test_triple_certificate_locality_is_band_bounded(self):
         # both lower points of a rejected triple lie in the widened band
         # below x, so the locality cannot exceed twice the band width
@@ -642,7 +671,7 @@ def logged_run(alg, f, cfg, x_rows=None):
     class holds a witness point.  Rows are logged at the testers' cursors, so
     in runs of more than one chunk.  A chunk's x rows are logged as their own
     kind, "x rows", from the stream or a cursor alike, and are not in its list;
-    x_rows, if given, is filled with each chunk's list of x-row read sizes.
+    x_rows, if given, is filled with each chunk's list of x-row reads (arrays).
     """
     import setfam.testers as T
 
@@ -652,7 +681,7 @@ def logged_run(alg, f, cfg, x_rows=None):
     def round_points(ws, rows, classes):
         def logged_rows():
             mark, keys = len(log), rows()
-            log[mark:] = [("x rows", len(keys))]  # in place of a cursor's "rows" entry
+            log[mark:] = [("x rows", keys)]  # in place of a cursor's "rows" entry
             return keys
 
         entry = ["points", None]  # before the chunk's x rows, which its cursor may log
@@ -761,6 +790,62 @@ class TestSkippedReads:
                 ("draws", per_chunk * sizes[first])], (n, seed)
             lates += first > 0
         assert lates >= 20, lates
+
+    @pytest.mark.parametrize("kind", ["uc", "int"])
+    def test_x_rows_are_read_only_for_the_chunks_with_a_candidate_round(self, kind):
+        # a candidate round's weight class holds a witness point; the f(x)
+        # stage and a table without witness points mark every class and none
+        import setfam.testers as T
+        from setfam.boolfn import BooleanFunction
+
+        def sizes(x_rows):
+            return [[len(rows) for rows in reads] for reads in x_rows]
+
+        def same(x_rows, want):
+            return sizes(x_rows) == sizes(want) and all(
+                np.array_equal(a, b) for got, rows in zip(x_rows, want) for a, b in zip(got, rows))
+
+        alg, uc, _ = self.KIND[kind]
+        patterns = set()
+        for n, chunking in itertools.product((5, 6, 9), ((T.CHUNK_MIN, T.CHUNK_MAX), (2, 16))):
+            f = rare_witness_table(kind, n)
+            band = mid_band(n, 0.5, widened=uc)
+            classes = {int(x).bit_count()
+                       for x in np.flatnonzero(reference_testers.witness_array(f, band, uc))}
+            dictator = TruthTable.from_ones(n, [x ^ uc for x in range(1 << n) if x & 1])
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(T, "CHUNK_MIN", chunking[0])
+                mp.setattr(T, "CHUNK_MAX", chunking[1])
+                for seed in range(10):
+                    cfg = TesterConfig(eps=0.5, seed=seed, max_iterations=3000)
+                    x_rows = []
+                    rep, chunks = logged_run(alg, f, cfg, x_rows)
+                    assert rep.to_json() == getattr(reference_testers, alg.__name__)(
+                        f, cfg).to_json(), (n, seed)
+                    # each chunk's rows of the whole x segment, which starts where
+                    # the weight batch ends
+                    rng = stream(seed)
+                    weights = T._weight_chunks(n, band, 3000, rng)
+                    want, every = [], []
+                    for (start, stop), ws in zip(T._chunks(3000), weights):
+                        if start >= rep.iterations_run:
+                            break
+                        rows = rng.random((stop - start, n))
+                        want.append([rows] if classes & set(ws.tolist()) else [])
+                        every.append([rows])
+                    assert sizes(x_rows) == sizes(want), (n, chunking, seed)
+                    assert same(x_rows, want), (n, chunking, seed)
+                    patterns.add("".join("r" if reads else "s" for reads in x_rows))
+                    point = BooleanFunction(n, f, f.batch)
+                    assert logged_run(alg, point, cfg, x_rows)[0].to_json() == rep.to_json()
+                    assert same(x_rows, every), (n, chunking, seed)
+                    accept, chunks = logged_run(alg, dictator, TesterConfig(0.5, seed, 2000),
+                                                x_rows)
+                    assert accept.verdict == "accept" and len(chunks) >= 2
+                    assert x_rows == [[]] * len(chunks), (n, chunking, seed)
+        # a read at the first chunk, and a read after skipped chunks from a reopened cursor
+        assert any(p.startswith("r") for p in patterns), patterns
+        assert any("sr" in p for p in patterns), patterns
 
     @pytest.mark.parametrize("kind", ["uc", "int"])
     def test_skipped_chunks_then_a_rejecting_live_chunk_give_the_reference_reports(self, kind):
