@@ -28,18 +28,23 @@ and at W + 2R*n for the 2-query tester.  The scalar draws also keep the
 32-bit half-word that the weight batch may have left buffered at W.
 
 Chunks.  The testers work through their iterations in chunks of 64, 128,
-... rounds, doubling up to 8192.  A run of more than one chunk draws the
-weight batch once to find W, then again chunk by chunk from a Philox cursor
-at its start.  A 3-/2-query tester reads a chunk's x rows only if the chunk
+... rounds, doubling up to 8192.  Each chunk draws its weights from the
+stream itself, and W is found only when a chunk first reads past the weight
+batch: the chunks not yet drawn are drawn once to reach W, and again chunk
+by chunk from a Philox cursor at the position where that chunk's weights
+end.  So a run in which no chunk reads past the batch (a round tester's run
+with no candidate round) draws each weight once.  A witness tester reads
+its xs from the first chunk on, so its chunks after the first are drawn
+twice.  A 3-/2-query tester reads a chunk's x rows only if the chunk
 has a candidate round (every round is one, but with a small table, see
 below), and its y rows and scalar draws only if it has a live round (see
-Queries).  The x rows come from the stream itself, which the weight batch
+Queries).  The x rows come from the stream itself, which the catch-up
 leaves at W, until a chunk skips them; after skipped chunks one cursor
 reopens the x segment at W + start*n, and cursors open the y row segments
 at W + k*R*n + start*n.  The skipped chunks' scalar draws, whose word count
 varies, are made first, from their weights drawn again off a saved state of
-the weight cursor.  So the draws are those of reading every segment whole,
-and as the catch-up too goes chunk by chunk, memory is O(8192 * n) for any
+the weight reader.  So the draws are those of reading every segment whole,
+and as both catch-ups too go chunk by chunk, memory is O(8192 * n) for any
 R.  A run of one chunk reads every segment from the stream itself: it draws
 nothing after its x rows unless a round is a candidate.  A run that rejects
 early draws at most one chunk beyond its last iteration; a run with no
@@ -236,60 +241,55 @@ def _cursor(rng: np.random.Generator, words: int) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
-def _weight_reader(
-    n: int, band: Band, rounds: int, rng: np.random.Generator
-) -> np.random.Generator:
-    """A reader of the weight batch from its start; moves rng past the whole batch.
-
-    The batch takes a varying number of draws (integers() rejects some), so
-    its end is found by drawing it once, and a cursor at its start draws it
-    again chunk by chunk.  Chunked draws give the values of one batch call,
-    because bounded draws under 2^32 take their 32-bit halves from the bit
-    generator's own buffer.  The first pass makes only the batch's
-    ``integers`` calls (``boolfn._band_draws``), not its class lookups.  A run
-    of one chunk reads the batch from rng itself, before anything else.
-    """
-    if rounds <= CHUNK_MIN:
-        return rng
-    reader = _cursor(rng, 0)
-    for start, stop in _chunks(rounds):
-        _band_draws(n, band, rng, stop - start)
-    return reader
-
-
-def _weight_chunks(
-    n: int, band: Band, rounds: int, rng: np.random.Generator
-) -> Iterator[np.ndarray]:
-    """The weight batch chunk by chunk, read by :func:`_weight_reader`."""
-    reader = _weight_reader(n, band, rounds, rng)
-    return (sample_band_weights(n, band, reader, stop - start) for start, stop in _chunks(rounds))
-
-
 class _RoundReads:
-    """A round tester's weights, then the reads of only the chunks that need them.
+    """A tester's weights chunk by chunk, then the reads of only the chunks that need them.
 
-    x rows are read for chunks with a candidate round, y rows and scalar draws
-    for live chunks.  rows is the number of y row segments; the scalar draws
-    sample below below(ws).  See Chunks in the module docstring.
+    The weights come from rng itself until a chunk first reads past the
+    weight batch (:meth:`end`).  x rows are read for chunks with a candidate
+    round, y rows and scalar draws for live chunks.  rows is the number of y
+    row segments; the scalar draws sample below below(ws).  See Chunks in the
+    module docstring.
     """
 
     def __init__(self, n: int, band: Band, rounds: int, rng: np.random.Generator,
                  rows: int, below):
         self.n, self.band, self.rounds, self.count, self.below = n, band, rounds, rows, below
-        self.reader = _weight_reader(n, band, rounds, rng)  # before any cursor at W
+        self.rng, self.reader, self.drawn = rng, rng, 0
         self.origin, self.rows, self.draws, self.at = rng, [rng] * rows, rng, 0
         self.x_reader, self.x_at = rng, 0
         if rounds > CHUNK_MIN:  # else rng reads every segment in stream order
-            self.origin, self.draws = _cursor(rng, 0), None
-            self.mark = self.reader.bit_generator.state
+            self.origin, self.draws = None, None
+            self.mark = rng.bit_generator.state  # the batch's start, for the replay
 
     def chunks(self) -> Iterator[tuple[int, np.ndarray]]:
         """(start, weights) of each chunk."""
         for start, stop in _chunks(self.rounds):
-            yield start, sample_band_weights(self.n, self.band, self.reader, stop - start)
+            ws = sample_band_weights(self.n, self.band, self.reader, stop - start)
+            self.drawn = stop
+            yield start, ws
+
+    def end(self) -> np.random.Generator:
+        """rng, moved to W, the end of the weight batch, the first time a chunk reads past it.
+
+        The batch takes a varying number of draws (integers() rejects some),
+        so its end is found by drawing the chunks not yet drawn, which a
+        cursor at rng's position then draws again for :meth:`chunks`.  Chunked
+        draws give the values of one batch call, because bounded draws under
+        2^32 take their 32-bit halves from the bit generator's own buffer.  The
+        catch-up makes only the ``integers`` calls (``boolfn._band_draws``), not
+        their class lookups.
+        """
+        if self.reader is self.rng and self.drawn < self.rounds:
+            self.reader = _cursor(self.rng, 0)
+            for start, stop in _chunks(self.rounds):
+                if start >= self.drawn:
+                    _band_draws(self.n, self.band, self.rng, stop - start)
+        return self.rng
 
     def x_rows(self, start: int, ws: np.ndarray) -> np.ndarray:
         """The chunk's x rows, a (len(ws), n) array, from a cursor reopened after skipped chunks."""
+        if self.origin is None:
+            self.origin = _cursor(self.end(), 0)
         if start > self.x_at:
             self.x_reader = _cursor(self.origin, start * self.n)
         self.x_at = start + len(ws)
@@ -379,12 +379,11 @@ def _witness_tester(f, cfg: TesterConfig, uc: bool) -> TesterReport:
     n = f.arity
     band = mid_band(n, cfg.eps)
     m = _iterations(cfg)
-    rng = stream(cfg.seed)
-    weights = _weight_chunks(n, band, m, rng)
+    reads = _RoundReads(n, band, m, stream(cfg.seed), 0, None)
     table = _small_witness_table(f, band, uc)
     queries = 0
-    for (start, _), ws in zip(_chunks(m), weights):
-        xs = _batch_band_points(n, ws, rng)
+    for start, ws in reads.chunks():
+        xs = _batch_band_points(n, ws, reads.end())
         i, witness, cost = witness_scan(f, xs, band, uc, cfg.enumeration_cap, table)
         queries += cost
         if witness is not None:

@@ -24,6 +24,7 @@ from setfam.boolfn import (
     _downset_classes,
     _downset_draws,
     mid_band,
+    sample_band_weights,
 )
 from setfam import testers
 from setfam.rng import stream
@@ -33,9 +34,17 @@ from setfam.testers import (
     _chunks,
     _cursor,
     _tau_rounds,
-    _weight_chunks,
 )
 from setfam.violations import IViolatingPair, TripleCertificate
+
+
+def weight_chunks(n: int, band, rounds: int, rng) -> list:
+    """The weight batch as one ``integers`` call of ``rounds`` draws, split at the chunks.
+
+    It leaves rng at W, where the x rows start.
+    """
+    stops = [stop for _, stop in _chunks(rounds)]
+    return np.split(sample_band_weights(n, band, rng, rounds), stops[:-1])
 
 
 def segments(rng, rounds: int, n: int, count: int) -> list:
@@ -91,7 +100,7 @@ def uc_triple_tester(f, cfg: TesterConfig) -> TesterReport:
     band = mid_band(n, cfg.eps, widened=True)
     rounds = _tau_rounds(cfg, n)
     rng = stream(cfg.seed)
-    weights = _weight_chunks(n, band, rounds, rng)
+    weights = weight_chunks(n, band, rounds, rng)
     rows1, rows2, draws = segments(rng, rounds, n, 3)
     for (start, stop), ws in zip(_chunks(rounds), weights):
         size = stop - start
@@ -116,7 +125,7 @@ def int_pair_tester(f, cfg: TesterConfig) -> TesterReport:
     band = mid_band(n, cfg.eps)
     rounds = _tau_rounds(cfg, n)
     rng = stream(cfg.seed)
-    weights = _weight_chunks(n, band, rounds, rng)
+    weights = weight_chunks(n, band, rounds, rng)
     rows, draws = segments(rng, rounds, n, 2)
     for (start, stop), ws in zip(_chunks(rounds), weights):
         size = stop - start

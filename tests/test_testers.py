@@ -390,7 +390,7 @@ class TestChunkedRounds:
         from setfam.boolfn import Band
 
         with pytest.raises(ValueError, match="is empty"):
-            list(T._weight_chunks(4, Band(3, 2), rounds, stream(1)))
+            list(T._RoundReads(4, Band(3, 2), rounds, stream(1), 0, None).chunks())
 
     @pytest.mark.parametrize("n", [2, 4, 7])
     def test_point_oracle_gives_the_batch_oracle_report(self, n):
@@ -602,8 +602,8 @@ class TestRoundCascade:
                 counts.clear()
                 rep = alg(f, TesterConfig(0.5, seed, 3000))
                 want = []
-                for (start, _), ws in zip(T._chunks(3000),
-                                          T._weight_chunks(n, band, 3000, stream(seed))):
+                for (start, _), ws in zip(T._chunks(3000), reference_testers.weight_chunks(
+                        n, band, 3000, stream(seed))):
                     if start >= rep.iterations_run:
                         break
                     marked = [w for w in ws.tolist() if w in classes]
@@ -825,7 +825,7 @@ class TestSkippedReads:
                     # each chunk's rows of the whole x segment, which starts where
                     # the weight batch ends
                     rng = stream(seed)
-                    weights = T._weight_chunks(n, band, 3000, rng)
+                    weights = reference_testers.weight_chunks(n, band, 3000, rng)
                     want, every = [], []
                     for (start, stop), ws in zip(T._chunks(3000), weights):
                         if start >= rep.iterations_run:
