@@ -6,9 +6,9 @@ rounds that can still reject.  These are the chunk bodies that build every
 round's x, y1 and y2 (x and y) and evaluate all of them in one call, with
 the subset rule written out as a per-row gather, so the tests can compare
 the testers' reports against a statement that evaluates every round.
-Both read every segment of the stream, through the testers' own chunk and
-cursor helpers, but pick points and downset classes with the plain kernels
-below: a stable per-row argsort and a compare-sum over the padded
+Both read every segment of the stream, the weight batch in one call and the
+rest through the testers' own chunk and cursor helpers, but pick points and
+downset classes with the plain kernels below: a stable per-row argsort and a compare-sum over the padded
 cumulative class sizes.
 ``witness_array`` keeps the subset-OR transform of ``witness_table`` on an
 unpacked array: a uint32 array of unions (uc) or a bool array (int).

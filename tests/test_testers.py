@@ -23,6 +23,8 @@ from setfam.boolfn import (
 from setfam.distance import is_intersecting, is_union_closed
 from setfam.rng import stream
 from setfam.testers import (
+    CHUNK_MAX,
+    CHUNK_MIN,
     TesterConfig,
     int_pair_tester,
     int_tester,
@@ -918,6 +920,189 @@ class TestSkippedReads:
         assert not any(reads for _, reads in chunks[:last])
         assert chunks[last][1][:last] == [("draws", min(64 << c, 8192)) for c in range(last)]
         assert rep.to_json() == reference_testers.int_pair_tester(f, cfg).to_json()
+
+
+def logged_weight_draws(alg, f, cfg):
+    """alg's report and its weight draws in order: [(source, size), ...].
+
+    Every ``_band_draws`` call is logged: a chunk's weights
+    (``boolfn.sample_band_weights``) and the catch-up to W
+    (``testers._band_draws``) alike.  source is "replay" for a draw made while
+    a live chunk replays the skipped chunks' weights, else "stream" for a draw
+    from the run's own stream and "cursor" for one from the weight cursor.
+    """
+    import setfam.boolfn as B
+    import setfam.testers as T
+
+    log, runs, replaying = [], [], []
+    band_draws, read, make = B._band_draws, T._RoundReads.read, T.stream
+
+    def draws(n, band, rng, size):
+        log.append(("replay" if replaying else "stream" if rng is runs[0] else "cursor", size))
+        return band_draws(n, band, rng, size)
+
+    def logged_read(self, *args):
+        replaying.append(True)
+        try:
+            return read(self, *args)
+        finally:
+            replaying.pop()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "stream", lambda *seed: runs.append(make(*seed)) or runs[-1])
+        mp.setattr(B, "_band_draws", draws)
+        mp.setattr(T, "_band_draws", draws)
+        mp.setattr(T._RoundReads, "read", logged_read)
+        rep = alg(f, cfg)
+    return rep, log
+
+
+def weight_draws_of(sizes, first, last, live=()):
+    """The weight draws [(source, size), ...] of a run whose chunks have the given sizes.
+
+    Each chunk up to first, the first chunk to read past the weight batch
+    (None for none), draws from the stream, and chunk first then draws the
+    rest of the batch there; the later ones draw from the weight cursor, up to
+    last, the run's last chunk.  Each chunk in live first replays the chunks
+    skipped since the previous one.
+    """
+    want, pending = [], []
+    for c, size in enumerate(sizes[: last + 1]):
+        want.append(("stream" if first is None or c <= first else "cursor", size))
+        if c == first:
+            want += [("stream", s) for s in sizes[c + 1:]]
+        if c in live:
+            want += [("replay", s) for s in pending]
+            pending = []
+        else:
+            pending.append(size)
+    return want
+
+
+class TestWeightDraws:
+    """A run draws its weights from the stream until a chunk first reads past the batch.
+
+    Only then are the rest of the batch's draws made, to reach W, and the
+    later chunks' weights drawn again from a cursor.
+    """
+
+    KIND = TestSkippedReads.KIND
+    CHUNKINGS = ((CHUNK_MIN, CHUNK_MAX), (2, 16))
+
+    @staticmethod
+    def sizes(rounds):
+        import setfam.testers as T
+
+        return [stop - start for start, stop in T._chunks(rounds)]
+
+    @pytest.mark.parametrize("chunking", CHUNKINGS)
+    @pytest.mark.parametrize("kind", ["uc", "int"])
+    def test_a_run_with_no_candidate_round_draws_each_weight_once(self, kind, chunking,
+                                                                 monkeypatch):
+        import setfam.testers as T
+        from setfam.distance import union_closure
+
+        monkeypatch.setattr(T, "CHUNK_MIN", chunking[0])
+        monkeypatch.setattr(T, "CHUNK_MAX", chunking[1])
+        alg, uc, _ = self.KIND[kind]
+        rng = stream(99)
+        for n in range(3, 11):
+            values = rng.random(1 << n) < 0.3
+            if uc:
+                f = union_closure(TruthTable.from_array(n, values))
+            else:
+                f = TruthTable.from_array(n, values & ((np.arange(1 << n) >> (n // 2)) & 1 == 1))
+            dictator = TruthTable.from_ones(n, [x ^ uc for x in range(1 << n) if x & 1])
+            for g, seed in itertools.product((f, dictator), range(2)):
+                cfg = TesterConfig(eps=0.5, seed=seed, max_iterations=2000)
+                rep, log = logged_weight_draws(alg, g, cfg)
+                assert rep.verdict == "accept"
+                assert rep.to_json() == getattr(reference_testers, alg.__name__)(g, cfg).to_json()
+                assert log == [("stream", size) for size in self.sizes(2000)], (n, seed)
+
+    @pytest.mark.parametrize("kind", ["uc", "int"])
+    def test_the_first_candidate_chunk_draws_the_rest_of_the_batch(self, kind):
+        # chunks 0..k, k the first chunk with a candidate round, are drawn once,
+        # the rest of the batch at chunk k, and the chunks after it again from
+        # the cursor; the f(x) stage reads x rows from chunk 0 on, so k = 0
+        import setfam.testers as T
+        from setfam.boolfn import BooleanFunction
+
+        alg, uc, _ = self.KIND[kind]
+        seen = set()
+        for n, (lo, hi) in itertools.product((5, 6, 9), self.CHUNKINGS):
+            f = rare_witness_table(kind, n)
+            band = mid_band(n, 0.5, widened=uc)
+            classes = {int(x).bit_count()
+                       for x in np.flatnonzero(reference_testers.witness_array(f, band, uc))}
+            point = BooleanFunction(n, f, f.batch)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(T, "CHUNK_MIN", lo)
+                mp.setattr(T, "CHUNK_MAX", hi)
+                sizes = self.sizes(3000)
+                for seed in range(10):
+                    cfg = TesterConfig(eps=0.5, seed=seed, max_iterations=3000)
+                    weights = reference_testers.weight_chunks(n, band, 3000, stream(seed))
+                    want = getattr(reference_testers, alg.__name__)(f, cfg).to_json()
+                    first = next((c for c, ws in enumerate(weights)
+                                  if classes & set(ws.tolist())), None)
+                    for g in (f, point):
+                        rep, log = logged_weight_draws(alg, g, cfg)
+                        assert rep.to_json() == want, (n, seed)
+                        _, chunks = logged_run(alg, g, cfg)
+                        live = {c for c, (_, reads) in enumerate(chunks) if reads}
+                        k = first if g is f else 0
+                        assert log == weight_draws_of(sizes, k, len(chunks) - 1, live), (n, seed)
+                        if g is f and k is not None:
+                            seen.add("first" if k == 0 else "later" if k < len(chunks) - 1
+                                     else "last")
+        assert {"first", "later"} <= seen, seen
+
+    @pytest.mark.parametrize("chunking", CHUNKINGS)
+    @pytest.mark.parametrize("alg", [uc_tester, int_tester])
+    def test_the_witness_testers_reach_w_at_their_first_chunk(self, alg, chunking, monkeypatch):
+        # their xs follow the weight batch from the first chunk on, so chunk 0
+        # is drawn once and every later chunk up to the last one run twice
+        import setfam.testers as T
+
+        monkeypatch.setattr(T, "CHUNK_MIN", chunking[0])
+        monkeypatch.setattr(T, "CHUNK_MAX", chunking[1])
+        rng = stream(100)
+        lasts = set()
+        for n in range(2, 9):
+            for density in (0.1, 0.5, 0.9):
+                f = TruthTable.from_array(n, rng.random(1 << n) < density)
+                for rounds in (1, 100, 1000):
+                    rep, log = logged_weight_draws(alg, f, TesterConfig(0.5, 3, rounds))
+                    sizes = self.sizes(rounds)
+                    last = next(c for c, stop in enumerate(itertools.accumulate(sizes))
+                                if stop >= rep.iterations_run)
+                    assert log == weight_draws_of(sizes, 0, last), (n, density, rounds)
+                    lasts.add(last > 0)
+        assert lasts == {False, True}, lasts
+
+    def test_a_catch_up_at_a_million_rounds_stays_bounded(self):
+        # an intersecting table of 2^13 points takes the f(x) stage, so chunk 0
+        # reads its x rows and draws the other 121 chunks' weights to reach W
+        import tracemalloc
+
+        import setfam.testers as T
+
+        n, low = 13, np.uint64(0b111111)
+        f = TruthTable.from_array(n, np.arange(1 << n, dtype=np.uint64) & low == low)
+        assert is_intersecting(f)
+        tracemalloc.start()
+        try:
+            rep, log = logged_weight_draws(
+                int_pair_tester, f, TesterConfig(eps=0.5, seed=1, max_iterations=10**6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.verdict == "accept" and rep.queries == 2 * 10**6
+        assert peak < 32 * 2**20, peak
+        sizes = self.sizes(10**6)
+        assert [d for d in log if d[0] != "replay"] == weight_draws_of(sizes, 0, len(sizes) - 1)
+        assert max(size for _, size in log) == T.CHUNK_MAX
 
 
 class TestWitnessBlocks:
