@@ -102,6 +102,30 @@ def talagrand_params(n: int, eps: float) -> tuple[int, int]:
     return term_size, num_terms
 
 
+def _action_split(construction: str, n: int, eps: float) -> tuple[int, float]:
+    """(a, dnf_eps): the action set's size and the eps of the DNF on the n - a control coordinates.
+
+    intersect: a = round(sqrt(n)/eps), the DNF at eps; uc: a = log2(1/eps)
+    for eps a power of 1/2, the DNF at eps 1.  A split whose DNF would have
+    no term (at eps 1, fewer than 12 control coordinates) is an error that
+    names the n and eps given.
+    """
+    if construction == "intersect":
+        if not 0.0 < eps <= 1.0:
+            raise ValueError("eps must lie in (0,1]")
+        a, dnf_eps = round(math.sqrt(n) / eps), eps
+    else:
+        a, dnf_eps = round(math.log2(1.0 / eps)), 1.0
+        if a < 1 or 2.0**-a != eps:
+            raise ValueError(f"eps must be a power of 1/2 below 1, got {eps}")
+    try:
+        talagrand_params(n - a, dnf_eps)
+    except ValueError:
+        raise ValueError(f"term count rounds to 0 at (n={n}, eps={eps}), "
+                         f"control size {max(n - a, 0)}") from None
+    return a, dnf_eps
+
+
 def _unique_terms(xs: np.ndarray, terms: tuple[int, ...]) -> np.ndarray:
     """Per point of a uint64 array, the index of the one term mask it satisfies.
 
@@ -457,15 +481,9 @@ def build_int_instance(kind: str, n: int, eps: float, seed: int) -> IntersectIns
             raise ValueError(f"action set rounds to 0 at n={n} (need n >= 50)")
         action, control = _partition(n, a, rng)
         return IntersectInstance(kind, n, eps, seed, a, action, control, None, (), ())
-    if not 0.0 < eps <= 1.0:
-        raise ValueError("eps must lie in (0,1]")
-    a = round(math.sqrt(n) / eps)
-    if a < 1:
-        raise ValueError(f"action set rounds to 0 at (n={n}, eps={eps})")
-    if n - a < 1:
-        raise ValueError(f"no control coordinates left at (n={n}, eps={eps})")
+    a, dnf_eps = _action_split("intersect", n, eps)
     action, control = _partition(n, a, rng)
-    dnf = sample_talagrand(n - a, eps, rng)
+    dnf = sample_talagrand(n - a, dnf_eps, rng)
     b = tuple(int(v) for v in rng.integers(0, 2, size=dnf.num_terms))
     term_masks = tuple(_embed(t, control) for t in dnf.terms)
     return IntersectInstance(kind, n, eps, seed, a, action, control, dnf, term_masks, b)
@@ -577,23 +595,14 @@ class UcInstance(_Instance):
         return out.astype(np.uint8)[:size]
 
 
-def _log2_inverse(eps: float) -> int:
-    a = round(math.log2(1.0 / eps))
-    if a < 1 or 2.0**-a != eps:
-        raise ValueError(f"eps must be a power of 1/2 below 1, got {eps}")
-    return a
-
-
 def build_uc_instance(kind: str, n: int, eps: float, seed: int) -> UcInstance:
     """Sample an instance; stream order: partition, DNF draws, secrets, bits."""
     if kind not in UC_KINDS:
         raise ValueError(f"kind must be one of {UC_KINDS}, got {kind!r}")
-    a = _log2_inverse(eps)
-    if n - a < 4:
-        raise ValueError(f"need n - log2(1/eps) >= 4, got n={n}, eps={eps}")
+    a, dnf_eps = _action_split("uc", n, eps)
     rng = stream(seed)
     action, control = _partition(n, a, rng)
-    dnf = sample_talagrand(n - a, 1.0, rng)
+    dnf = sample_talagrand(n - a, dnf_eps, rng)
     term_masks = tuple(_embed(t, control) for t in dnf.terms)
     if kind == "yes":
         secrets = tuple(
@@ -699,16 +708,7 @@ def estimate_bad_probability(
     batch, and Bad pairs are found per run of trials that ``_term_draws``
     yields, so memory grows with the trials only by n bytes each.
     """
-    if params.construction == "intersect":
-        if not 0.0 < eps <= 1.0:
-            raise ValueError("eps must lie in (0,1]")
-        a = round(math.sqrt(n) / eps)
-        dnf_eps = eps
-    else:
-        a = _log2_inverse(eps)
-        dnf_eps = 1.0
-    if a < 1 or n - a < 1:
-        raise ValueError(f"degenerate partition at (n={n}, eps={eps})")
+    a, dnf_eps = _action_split(params.construction, n, eps)
     m = n - a
     term_size, num_terms = talagrand_params(m, dnf_eps)
     rng = stream(seed)

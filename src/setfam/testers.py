@@ -32,23 +32,21 @@ Chunks.  The testers work through their iterations in chunks of 64, 128,
 stream itself, and W is found only when a chunk first reads past the weight
 batch: the chunks not yet drawn are drawn once to reach W, and again chunk
 by chunk from a Philox cursor at the position where that chunk's weights
-end.  So a run in which no chunk reads past the batch (a round tester's run
-with no candidate round) draws each weight once.  A witness tester reads
-its xs from the first chunk on, so its chunks after the first are drawn
-twice.  A 3-/2-query tester reads a chunk's x rows only if the chunk
-has a candidate round (every round is one, but with a small table, see
+end.  A witness tester reads its xs from the first chunk on, so its later
+chunks are drawn twice.  A 3-/2-query tester reads a chunk's x rows only if
+it has a candidate round (every round is one, but with a small table, see
 below), and its y rows and scalar draws only if it has a live round (see
-Queries).  The x rows come from the stream itself, which the catch-up
-leaves at W, until a chunk skips them; after skipped chunks one cursor
-reopens the x segment at W + start*n, and cursors open the y row segments
-at W + k*R*n + start*n.  The skipped chunks' scalar draws, whose word count
-varies, are made first, from their weights drawn again off a saved state of
-the weight reader.  So the draws are those of reading every segment whole,
-and as both catch-ups too go chunk by chunk, memory is O(8192 * n) for any
-R.  A run of one chunk reads every segment from the stream itself: it draws
-nothing after its x rows unless a round is a candidate.  A run that rejects
-early draws at most one chunk beyond its last iteration; a run with no
-candidate round draws no x row, and one with no live chunk no y row and no
+Queries).  Every row segment k (0 for x, then y1 and y2, or y) is read by
+one rule: a cursor off the stream, which stays at W, opens at W + (k*R +
+start)*n at the segment's first read and again at a chunk that does not
+follow its last read.  The scalar draws, whose word count varies, have a
+cursor of their own, and a live chunk first makes those of the chunks
+skipped before it, from their weights drawn again off a saved state of the
+weight reader.  So the draws are those of reading every segment whole, and
+memory is O(8192 * n) for any R.  A run of one chunk opens no cursor: it
+reads every segment in stream order from the stream itself.  A run draws at
+most one chunk beyond its last iteration; with no candidate round it draws
+each weight once and no x row, and with no live chunk no y row and no
 scalar draw.
 
 Queries.  A run reports the queries of the iterations it ran up to and
@@ -246,19 +244,18 @@ class _RoundReads:
 
     The weights come from rng itself until a chunk first reads past the
     weight batch (:meth:`end`).  x rows are read for chunks with a candidate
-    round, y rows and scalar draws for live chunks.  rows is the number of y
-    row segments; the scalar draws sample below below(ws).  See Chunks in the
-    module docstring.
+    round, y rows and scalar draws for live chunks, every row segment through
+    :meth:`rows`.  count is the number of y row segments; the scalar draws
+    sample below below(ws).  See Chunks in the module docstring.
     """
 
     def __init__(self, n: int, band: Band, rounds: int, rng: np.random.Generator,
-                 rows: int, below):
-        self.n, self.band, self.rounds, self.count, self.below = n, band, rounds, rows, below
+                 count: int, below):
+        self.n, self.band, self.rounds, self.count, self.below = n, band, rounds, count, below
         self.rng, self.reader, self.drawn = rng, rng, 0
-        self.origin, self.rows, self.draws, self.at = rng, [rng] * rows, rng, 0
-        self.x_reader, self.x_at = rng, 0
-        if rounds > CHUNK_MIN:  # else rng reads every segment in stream order
-            self.origin, self.draws = None, None
+        first = rng if rounds <= CHUNK_MIN else None  # one chunk reads rng in stream order
+        self.segments, self.draws, self.at = [(first, 0)] * (count + 1), first, 0
+        if first is None:
             self.mark = rng.bit_generator.state  # the batch's start, for the replay
 
     def chunks(self) -> Iterator[tuple[int, np.ndarray]]:
@@ -286,14 +283,17 @@ class _RoundReads:
                     _band_draws(self.n, self.band, self.rng, stop - start)
         return self.rng
 
-    def x_rows(self, start: int, ws: np.ndarray) -> np.ndarray:
-        """The chunk's x rows, a (len(ws), n) array, from a cursor reopened after skipped chunks."""
-        if self.origin is None:
-            self.origin = _cursor(self.end(), 0)
-        if start > self.x_at:
-            self.x_reader = _cursor(self.origin, start * self.n)
-        self.x_at = start + len(ws)
-        return self.x_reader.random((len(ws), self.n))
+    def rows(self, k: int, start: int, count: int) -> np.ndarray:
+        """Rows [start, start + count) of row segment k: 0 for x, then y1 and y2 (y).
+
+        A cursor opens at W + (k*R + start)*n for the segment's first read
+        and for a read that does not follow its last one.
+        """
+        reader, at = self.segments[k]
+        if reader is None or start != at:
+            reader = _cursor(self.end(), (k * self.rounds + start) * self.n)
+        self.segments[k] = reader, start + count
+        return reader.random((count, self.n))
 
     def read(self, start: int, ws: np.ndarray, live: np.ndarray):
         """The chunk's y rows, a (len(ws), n) array per segment, and its downset draws.
@@ -303,18 +303,16 @@ class _RoundReads:
         n, band, rounds = self.n, self.band, self.rounds
         if not live.size:
             return [np.empty((0, n))] * self.count, np.empty(0, dtype=np.uint64)
-        if self.draws is None or start > self.at:
-            self.rows = [_cursor(self.origin, (k * rounds + start) * n)
-                         for k in range(1, self.count + 1)]
-            if self.draws is None:
-                self.draws = _cursor(self.origin, (self.count + 1) * rounds * n)
+        if self.draws is None:
+            self.draws = _cursor(self.end(), (self.count + 1) * rounds * n)
+        if start > self.at:
             replay = np.random.Generator(np.random.Philox())
             replay.bit_generator.state = self.mark
             for s, e in _chunks(rounds):
                 if self.at <= s < start:
                     skipped = sample_band_weights(n, band, replay, e - s)
                     _downset_draws(self.draws, n, band, self.below(skipped))
-        rows = [r.random((len(ws), n)) for r in self.rows]
+        rows = [self.rows(k, start, len(ws)) for k in range(1, self.count + 1)]
         us = _downset_draws(self.draws, n, band, self.below(ws))
         self.mark, self.at = self.reader.bit_generator.state, start + len(ws)
         return rows, us
@@ -334,16 +332,13 @@ def _small_witness_table(f, band: Band, uc: bool) -> TruthTable | None:
 
 
 def _round_points(
-    ws: np.ndarray, rows: Callable[[], np.ndarray], classes: np.ndarray | None
+    ws: np.ndarray, rows: Callable[[], np.ndarray], classes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(rounds, xs): a chunk's rounds whose weight class is in classes, and their points.
 
     rows() gives the chunk's x rows, and is called only when a round is in
-    a marked class; only those rounds are ranked.  classes None marks every
-    class.
+    a marked class; only those rounds are ranked.
     """
-    if classes is None:
-        return np.arange(len(ws)), _lowest(rows(), ws)
     rounds = np.flatnonzero(classes[ws])
     if not rounds.size:
         return rounds, np.empty(0, dtype=np.uint64)
@@ -361,10 +356,9 @@ def _point_stage(f, band: Band, uc: bool):
     oracle reads and ranks every round and evaluates f(x).
     """
     n, table = f.arity, _small_witness_table(f, band, uc)
-    classes = witness = None
+    witness, classes = None, np.ones(n + 1, dtype=bool)
     if table is not None:
-        witness = table.as_array().view(bool)
-        classes = np.zeros(n + 1, dtype=bool)
+        witness, classes = table.as_array().view(bool), np.zeros(n + 1, dtype=bool)
         classes[np.bitwise_count(np.flatnonzero(witness))] = True
 
     def points(ws: np.ndarray, rows: Callable[[], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -427,7 +421,7 @@ def uc_triple_tester(f, cfg: TesterConfig) -> TesterReport:
     for start, ws in reads.chunks():
         # a round can reject only at a witness point x, and only if
         # |y1| + |y2| >= |x|, then f(y1) = 1
-        live, x = points(ws, partial(reads.x_rows, start, ws))
+        live, x = points(ws, partial(reads.rows, 0, start, len(ws)))
         (r1, r2), us = reads.read(start, ws, live)
         w = ws[live]
         j1, j2 = _downset_class(n, band, w[:, None], us.reshape(-1, 2)[live]).T
@@ -461,7 +455,7 @@ def int_pair_tester(f, cfg: TesterConfig) -> TesterReport:
     reads = _RoundReads(n, band, rounds, rng, 1, lambda ws: n - ws)
     points = _point_stage(f, band, False)
     for start, ws in reads.chunks():
-        live, x = points(ws, partial(reads.x_rows, start, ws))
+        live, x = points(ws, partial(reads.rows, 0, start, len(ws)))
         (r,), us = reads.read(start, ws, live)
         js = _downset_class(n, band, n - ws[live], us[live])
         ys = _subsets(x ^ full, js, r[live])
