@@ -336,8 +336,9 @@ def _round_points(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(rounds, xs): a chunk's rounds whose weight class is in classes, and their points.
 
-    rows() gives the chunk's x rows, and is called only when a round is in
-    a marked class; only those rounds are ranked.
+    rows() reads the chunk's x rows (segment 0 of :meth:`_RoundReads.rows`),
+    and is called only when a round is in a marked class; only those rounds
+    are ranked.
     """
     rounds = np.flatnonzero(classes[ws])
     if not rounds.size:
@@ -348,12 +349,12 @@ def _round_points(
 def _point_stage(f, band: Band, uc: bool):
     """A round tester's point stage: (ws, rows) -> (live, xs), the chunk's rounds that can reject.
 
-    rows() gives the chunk's x rows (:meth:`_RoundReads.x_rows`).  A round
-    can reject only at a witness point x, where f(x) = 0 (uc) or 1 (int) at
-    least.  A table of at most BLOCK points looks its candidates' xs up in
-    its witness table, and its candidates are the rounds whose weight class
-    holds a witness point, so a chunk with none reads no x row; any other
-    oracle reads and ranks every round and evaluates f(x).
+    rows() reads the chunk's x rows (:func:`_round_points`).  A round can
+    reject only at a witness point x, where f(x) = 0 (uc) or 1 (int) at
+    least.  A table of at most BLOCK points marks the weight classes that
+    hold a witness point and looks its candidates' xs up in its witness
+    table, so a chunk with no candidate reads no x row; any other oracle
+    marks every class, so it reads and ranks every round, and evaluates f(x).
     """
     n, table = f.arity, _small_witness_table(f, band, uc)
     witness, classes = None, np.ones(n + 1, dtype=bool)

@@ -315,6 +315,12 @@ class TestInputErrors:
         (["verify", "--report", "{d}/one.json", "--fn", "const1", "--n", "2"],
          "one.json is not a JSON object"),
         (["verify", "--instance", "{d}/list.json"], "list.json is not a JSON object"),
+        (["gen", "--kind", "uc-yes", "--n", "6", "--eps", "0.5"],
+         "term count rounds to 0 at (n=6, eps=0.5), control size 5"),
+        (["gen", "--kind", "int-yes", "--n", "3", "--eps", "0.9"],
+         "term count rounds to 0 at (n=3, eps=0.9), control size 1"),
+        (["sweep", "--what", "bad-event", "--construction", "uc", "--ns", "8", "--epss", "0.5"],
+         "term count rounds to 0 at (n=8, eps=0.5), control size 7"),
     ])
     def test_a_bad_input_exits_2_with_a_message(self, argv, message, tmp_path, capsys):
         self.files(tmp_path)

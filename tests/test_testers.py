@@ -666,19 +666,21 @@ class Logged:
         return getattr(self.rng, name)
 
 
-def logged_run(alg, f, cfg, x_rows=None):
+def logged_run(alg, f, cfg, x_rows=None, y_rows=None):
     """alg's report and its reads per chunk: [(xs, [("rows" | "draws", count), ...])].
 
     xs are the chunk's ranked points: every live round's, since a live round's
     class holds a witness point.  Rows are logged at the testers' cursors, so
     in runs of more than one chunk.  A chunk's x rows are logged as their own
     kind, "x rows", from the stream or a cursor alike, and are not in its list;
-    x_rows, if given, is filled with each chunk's list of x-row reads (arrays).
+    x_rows, if given, is filled with each chunk's list of x-row reads (arrays),
+    and y_rows with (start, [rows of each y segment]) of each live chunk.
     """
     import setfam.testers as T
 
-    log = []
+    log, live_reads = [], []
     cursor, draws, points = T._cursor, T._downset_draws, T._round_points
+    read = T._RoundReads.read
 
     def round_points(ws, rows, classes):
         def logged_rows():
@@ -691,11 +693,18 @@ def logged_run(alg, f, cfg, x_rows=None):
         entry[1] = points(ws, logged_rows, classes)
         return entry[1]
 
+    def logged_read(self, start, ws, live):
+        rows, us = read(self, start, ws, live)
+        if live.size:
+            live_reads.append((start, rows))
+        return rows, us
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(T, "_cursor", lambda rng, words: Logged(cursor(rng, words), log))
         mp.setattr(T, "_downset_draws", lambda rng, n, band, ws: (
             log.append(("draws", len(ws))) or draws(rng, n, band, ws)))
         mp.setattr(T, "_round_points", round_points)
+        mp.setattr(T._RoundReads, "read", logged_read)
         rep = alg(f, cfg)
     chunks, xs_read = [], []
     for kind, value in log:
@@ -708,7 +717,23 @@ def logged_run(alg, f, cfg, x_rows=None):
             chunks[-1][1].append((kind, value))
     if x_rows is not None:
         x_rows[:] = xs_read
+    if y_rows is not None:
+        y_rows[:] = live_reads
     return rep, chunks
+
+
+def counted_cursors(alg, f, cfg):
+    """alg's report, the number of ``_cursor`` calls it made, and whether each chunk was live."""
+    import setfam.testers as T
+
+    opened, live = [], []
+    cursor, read = T._cursor, T._RoundReads.read
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "_cursor", lambda rng, words: opened.append(words) or cursor(rng, words))
+        mp.setattr(T._RoundReads, "read", lambda self, start, ws, lv: (
+            live.append(bool(lv.size)) or read(self, start, ws, lv)))
+        rep = alg(f, cfg)
+    return rep, len(opened), live
 
 
 def rare_witness_table(kind: str, n: int) -> TruthTable:
@@ -796,7 +821,8 @@ class TestSkippedReads:
     @pytest.mark.parametrize("kind", ["uc", "int"])
     def test_x_rows_are_read_only_for_the_chunks_with_a_candidate_round(self, kind):
         # a candidate round's weight class holds a witness point; the f(x)
-        # stage and a table without witness points mark every class and none
+        # stage and a table without witness points mark every class and none.
+        # A live chunk's y rows are the rows of their segments at its rounds
         import setfam.testers as T
         from setfam.boolfn import BooleanFunction
 
@@ -807,8 +833,17 @@ class TestSkippedReads:
             return sizes(x_rows) == sizes(want) and all(
                 np.array_equal(a, b) for got, rows in zip(x_rows, want) for a, b in zip(got, rows))
 
-        alg, uc, _ = self.KIND[kind]
-        patterns = set()
+        def same_y(y_rows, segments):
+            return all(len(rows) == len(segments) - 1 and all(
+                np.array_equal(r, segments[k][start:start + len(r)]) for k, r in enumerate(rows, 1))
+                for start, rows in y_rows)
+
+        def y_after_a_skip(y_rows):
+            return any(start > prev + len(rows[0]) for (prev, rows), (start, _)
+                       in zip([(0, [[]])] + y_rows, y_rows))
+
+        alg, uc, count = self.KIND[kind]
+        patterns, y_skips = set(), set()
         for n, chunking in itertools.product((5, 6, 9), ((T.CHUNK_MIN, T.CHUNK_MAX), (2, 16))):
             f = rare_witness_table(kind, n)
             band = mid_band(n, 0.5, widened=uc)
@@ -820,27 +855,31 @@ class TestSkippedReads:
                 mp.setattr(T, "CHUNK_MAX", chunking[1])
                 for seed in range(10):
                     cfg = TesterConfig(eps=0.5, seed=seed, max_iterations=3000)
-                    x_rows = []
-                    rep, chunks = logged_run(alg, f, cfg, x_rows)
+                    x_rows, y_rows = [], []
+                    rep, chunks = logged_run(alg, f, cfg, x_rows, y_rows)
                     assert rep.to_json() == getattr(reference_testers, alg.__name__)(
                         f, cfg).to_json(), (n, seed)
                     # each chunk's rows of the whole x segment, which starts where
-                    # the weight batch ends
+                    # the weight batch ends, and is followed by the y segments
                     rng = stream(seed)
                     weights = reference_testers.weight_chunks(n, band, 3000, rng)
+                    segments = rng.random((count + 1, 3000, n))
                     want, every = [], []
                     for (start, stop), ws in zip(T._chunks(3000), weights):
                         if start >= rep.iterations_run:
                             break
-                        rows = rng.random((stop - start, n))
+                        rows = segments[0][start:stop]
                         want.append([rows] if classes & set(ws.tolist()) else [])
                         every.append([rows])
                     assert sizes(x_rows) == sizes(want), (n, chunking, seed)
                     assert same(x_rows, want), (n, chunking, seed)
+                    assert y_rows and same_y(y_rows, segments), (n, chunking, seed)
                     patterns.add("".join("r" if reads else "s" for reads in x_rows))
                     point = BooleanFunction(n, f, f.batch)
-                    assert logged_run(alg, point, cfg, x_rows)[0].to_json() == rep.to_json()
+                    assert logged_run(alg, point, cfg, x_rows, y_rows)[0].to_json() == rep.to_json()
                     assert same(x_rows, every), (n, chunking, seed)
+                    assert y_rows and same_y(y_rows, segments), (n, chunking, seed)
+                    y_skips.add((chunking, y_after_a_skip(y_rows)))
                     accept, chunks = logged_run(alg, dictator, TesterConfig(0.5, seed, 2000),
                                                 x_rows)
                     assert accept.verdict == "accept" and len(chunks) >= 2
@@ -848,6 +887,7 @@ class TestSkippedReads:
         # a read at the first chunk, and a read after skipped chunks from a reopened cursor
         assert any(p.startswith("r") for p in patterns), patterns
         assert any("sr" in p for p in patterns), patterns
+        assert {(c, True) for c in ((T.CHUNK_MIN, T.CHUNK_MAX), (2, 16))} <= y_skips, y_skips
 
     @pytest.mark.parametrize("kind", ["uc", "int"])
     def test_skipped_chunks_then_a_rejecting_live_chunk_give_the_reference_reports(self, kind):
@@ -920,6 +960,58 @@ class TestSkippedReads:
         assert not any(reads for _, reads in chunks[:last])
         assert chunks[last][1][:last] == [("draws", min(64 << c, 8192)) for c in range(last)]
         assert rep.to_json() == reference_testers.int_pair_tester(f, cfg).to_json()
+
+
+class TestCursorCount:
+    """A run of one chunk reads the stream itself; a longer one opens each reader once.
+
+    The readers of a longer run are the weight cursor, one per row segment
+    and one for the scalar draws, while every chunk follows the last read.
+    """
+
+    KIND = TestSkippedReads.KIND
+
+    @pytest.mark.parametrize("kind", ["uc", "int"])
+    def test_a_run_of_one_chunk_opens_no_cursor(self, kind):
+        from setfam.boolfn import BooleanFunction
+
+        alg, _, _ = self.KIND[kind]
+        rng, lives = stream(101), 0
+        for n, seed in itertools.product((4, 5, 6), range(4)):
+            f = TruthTable.from_array(n, rng.random(1 << n) < 0.5)
+            for g in (f, BooleanFunction(n, f, f.batch)):
+                for rounds in (1, 40, CHUNK_MIN):
+                    cfg = TesterConfig(eps=0.5, seed=seed, max_iterations=rounds)
+                    rep, opened, live = counted_cursors(alg, g, cfg)
+                    assert rep.to_json() == getattr(reference_testers, alg.__name__)(
+                        f, cfg).to_json(), (n, seed, rounds)
+                    assert live and opened == 0, (n, seed, rounds, opened)
+                    lives += live == [True]
+        assert lives >= 40, lives
+
+    @pytest.mark.parametrize("chunking", [(CHUNK_MIN, CHUNK_MAX), (16, 64)])
+    @pytest.mark.parametrize("kind", ["uc", "int"])
+    def test_a_run_live_in_every_chunk_opens_each_reader_once(self, kind, chunking,
+                                                             monkeypatch):
+        # a dictator has the property, and the f(x) stage finds live rounds
+        # in every chunk: f(x) = 0 (uc) or 1 (int) at half the points
+        import setfam.testers as T
+        from setfam.boolfn import BooleanFunction
+
+        monkeypatch.setattr(T, "CHUNK_MIN", chunking[0])
+        monkeypatch.setattr(T, "CHUNK_MAX", chunking[1])
+        alg, uc, count = self.KIND[kind]
+        for n, seed in itertools.product((4, 6, 9), range(3)):
+            dictator = TruthTable.from_ones(n, [x ^ uc for x in range(1 << n) if x & 1])
+            cfg = TesterConfig(eps=0.5, seed=seed, max_iterations=1000)
+            rep, opened, live = counted_cursors(alg, BooleanFunction(n, dictator, dictator.batch),
+                                                cfg)
+            assert rep.verdict == "accept"
+            assert rep.to_json() == getattr(reference_testers, alg.__name__)(
+                dictator, cfg).to_json(), (n, seed)
+            assert len(live) == len(list(T._chunks(1000))) and all(live), (n, seed)
+            # x, the y segments, the scalar draws and the weights
+            assert opened == count + 3, (n, seed, opened)
 
 
 def logged_weight_draws(alg, f, cfg):
